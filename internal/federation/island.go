@@ -13,7 +13,6 @@ import (
 	"borgmoea/internal/master"
 	"borgmoea/internal/obs"
 	"borgmoea/internal/rng"
-	"borgmoea/internal/stats"
 	"borgmoea/internal/wire"
 )
 
@@ -69,67 +68,6 @@ type islandSession struct {
 	id   uint64
 	conn *wire.Conn
 	gone bool
-}
-
-// fedAlg adapts the island's Borg instance to the shared state machine,
-// measuring the wall-clock critical section as T_A and optionally
-// stretching it with a sampled SimulateTA hold (the knob that drags the
-// per-island P_UB into loopback-test range).
-type fedAlg struct {
-	b    *core.Borg
-	adv  *advisor.Advisor
-	ic   *islandContext
-	sim  stats.Distribution
-	simR *rng.Source
-	busy float64
-	n    uint64
-	// curItem is the lease id of the result being folded in (stashed by
-	// the island loop before Handle); the accept critical section
-	// attributes its T_A to that evaluation's trace.
-	curItem uint64
-}
-
-// section wraps one master critical section, charging its T_A.
-func (a *fedAlg) section(fn func()) float64 {
-	start := time.Now()
-	fn()
-	if a.sim != nil {
-		time.Sleep(time.Duration(a.sim.Sample(a.simR) * float64(time.Second)))
-	}
-	ta := time.Since(start).Seconds()
-	a.busy += ta
-	a.n++
-	a.ic.meters.TA.Observe(ta)
-	a.adv.ObserveTA(ta)
-	return ta
-}
-
-func (a *fedAlg) Suggest() *core.Solution {
-	var s *core.Solution
-	a.section(func() { s = a.b.Suggest() })
-	return s
-}
-
-func (a *fedAlg) Accept(s *core.Solution) {
-	ta := a.section(func() { a.b.Accept(s) })
-	a.ic.trace.ObserveTA(a.curItem, ta)
-}
-
-func (a *fedAlg) AcceptSuggest(s *core.Solution) *core.Solution {
-	var next *core.Solution
-	ta := a.section(func() {
-		a.b.Accept(s)
-		next = a.b.Suggest()
-	})
-	a.ic.trace.ObserveTA(a.curItem, ta)
-	return next
-}
-
-// inject folds a migrant into the algorithm inside its own measured
-// critical section — the live counterpart of the DES driver's
-// "T_A but no function evaluation" migrant charge.
-func (a *fedAlg) inject(s *core.Solution) {
-	a.section(func() { a.b.InjectEvaluated(s) })
 }
 
 // dialPeer dials the ring successor's peer listener, retrying while the
@@ -276,10 +214,20 @@ func runIsland(ic islandContext) (islandResult, error) {
 		defer rootConn.Close()
 	}
 
-	alg := &fedAlg{b: b, adv: ic.adv, ic: &ic, sim: cfg.SimulateTA}
-	if alg.sim != nil {
-		alg.simR = rng.New(cfg.Seed ^ (uint64(ic.isl+1) * 0x7461)) // "ta"
+	// T_A is the measured wall-clock critical section, optionally
+	// stretched by a sampled SimulateTA sleep inside it (the knob that
+	// drags the per-island P_UB into loopback-test range).
+	mc := master.MeterConfig{
+		Stretch: cfg.SimulateTA,
+		Hist:    ic.meters.TA,
+		Advisor: ic.adv,
+		Trace:   ic.trace,
+		Quality: ic.quality,
 	}
+	if mc.Stretch != nil {
+		mc.Rng = rng.New(cfg.Seed ^ (uint64(ic.isl+1) * 0x7461)) // "ta"
+	}
+	alg := master.NewMetered(b, mc)
 
 	start := time.Now()
 	since := func() float64 { return time.Since(start).Seconds() }
@@ -300,24 +248,16 @@ func runIsland(ic islandContext) (islandResult, error) {
 		// Workers hold deep copies of granted work (wire frames encode
 		// the solution), so expired-lease work is reissued in place.
 		ReuseOnResubmit: true,
-		Alg:             alg,
 		Meters:          ic.meters,
 		Log:             ic.log,
-		OnAcceptFrom:    ic.adv.ObserveAccept,
 		OnMigrant: func(source int, epoch uint64) {
 			if staged != nil {
-				alg.inject(staged)
+				alg.Inject(staged)
 				staged = nil
 			}
 		},
 	}
-	if ic.trace != nil {
-		mcfg.Tracer = ic.trace
-	}
-	if q := ic.quality; q != nil {
-		q.Attach(b)
-		mcfg.OnQuality = func(seq uint64, at float64) { q.Sample(seq, at) }
-	}
+	alg.Install(&mcfg)
 	m := master.NewCore(mcfg)
 
 	byID := make(map[uint64]*islandSession)
@@ -542,10 +482,9 @@ func runIsland(ic islandContext) (islandResult, error) {
 				sol.Constrs = msg.Constrs
 				accepted = sol
 				evalSec := float64(msg.EvalNanos) / 1e9
-				ic.meters.TF.ObserveExemplar(evalSec, sampledTraceID(item))
+				ic.meters.TF.ObserveExemplar(evalSec, item.Trace.Exemplar())
 				ic.adv.ObserveTF(int(s.id), evalSec)
 				ic.trace.ObserveTF(item.ID, evalSec)
-				alg.curItem = item.ID
 			}
 			prev := m.Completed()
 			exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.id), Item: msg.Lease, At: since()}))
@@ -587,15 +526,6 @@ func runIsland(ic islandContext) (islandResult, error) {
 // stragglerCheckEvery is how many accepts pass between polls of the
 // advisor's straggler detector when tracing is on.
 const stragglerCheckEvery = 64
-
-// sampledTraceID returns the item's trace id when its evaluation is
-// sampled, else 0 (ObserveExemplar treats 0 as "no exemplar").
-func sampledTraceID(item *master.Item) uint64 {
-	if item.Trace.Sampled() {
-		return item.Trace.TraceID
-	}
-	return 0
-}
 
 // archiveDelta packages the most recent archive members (capped at
 // deltaCap) as a root-bound Delta frame.

@@ -9,18 +9,6 @@ import (
 	"borgmoea/internal/problems"
 )
 
-// replayAlg is the timing-free optimizer adapter replays use: the
-// recorded run's T_A holds shaped only the event *order*, which the log
-// already pins, so replaying re-runs the algorithm bare.
-type replayAlg struct{ b *core.Borg }
-
-func (a replayAlg) Suggest() *core.Solution { return a.b.Suggest() }
-func (a replayAlg) Accept(s *core.Solution) { a.b.Accept(s) }
-func (a replayAlg) AcceptSuggest(s *core.Solution) *core.Solution {
-	a.b.Accept(s)
-	return a.b.Suggest()
-}
-
 // ReplayResult is the offline reconstruction of a federated run.
 type ReplayResult struct {
 	// Islands holds each island's replayed Borg instance; its archive
@@ -71,8 +59,14 @@ func ReplayQuality(problem problems.Problem, algCfg core.Config, seed uint64, lo
 		}
 		res.Islands[isl] = b
 		var injectErr error
+		// The recorded run's T_A shaped only the event order, which
+		// the log pins, so the replay's own T_A is never charged.
+		mc := master.MeterConfig{}
+		if isl < len(quality) {
+			mc.Quality = quality[isl]
+		}
 		rc := master.ReplayConfig{
-			Alg:      replayAlg{b: b},
+			Alg:      master.NewMetered(b, mc),
 			Evaluate: func(item *master.Item) { core.EvaluateSolution(problem, item.S) },
 			OnMigrant: func(source int, epoch uint64) {
 				if injectErr != nil {
@@ -89,11 +83,6 @@ func ReplayQuality(problem problems.Problem, algCfg core.Config, seed uint64, lo
 				}
 				b.InjectEvaluated(s)
 			},
-		}
-		if isl < len(quality) && quality[isl] != nil {
-			q := quality[isl]
-			q.Attach(b)
-			rc.OnQuality = func(seq uint64, at float64) { q.Sample(seq, at) }
 		}
 		if _, err := master.Replay(log, rc); err != nil {
 			return nil, fmt.Errorf("federation: island %d: %w", isl, err)

@@ -308,18 +308,14 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 	j.adv = advisor.New(advisor.Config{})
 	j.adv.Configure(0, j.spec.Evaluations)
 	j.replaying = true
+	// Recorded EvQuality points re-trigger sampling against the
+	// replayed algorithm: the restored job's quality timeline (and its
+	// stall detector) continue where the dead server's left off.
 	rc := master.ReplayConfig{
-		Alg:          &jobAlg{b: b, adv: j.adv},
+		Alg:          master.NewMetered(b, master.MeterConfig{Advisor: j.adv, Quality: newJobQuality(j)}),
 		Evaluate:     evalFor(j.problem),
 		OnAccept:     s.onAcceptHook(j),
 		OnAcceptFrom: s.onAcceptFromHook(j),
-	}
-	if q := newJobQuality(j); q != nil {
-		// Recorded EvQuality points re-trigger sampling against the
-		// replayed algorithm: the restored job's quality timeline (and
-		// its stall detector) continue where the dead server's left off.
-		q.Attach(b)
-		rc.OnQuality = func(seq uint64, at float64) { q.Sample(seq, at) }
 	}
 	mc, err := master.Replay(log, rc)
 	j.replaying = false

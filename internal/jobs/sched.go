@@ -531,11 +531,7 @@ func (s *Scheduler) onResult(w *fleetWorker, msg *wire.Result) {
 		sec := float64(msg.EvalNanos) / 1e9
 		j.adv.ObserveTF(int(w.id), sec)
 		j.trace.ObserveTF(ref.item, sec)
-		var exemplar uint64
-		if item.Trace.Sampled() {
-			exemplar = item.Trace.TraceID
-		}
-		s.hEval.ObserveExemplar(sec, exemplar)
+		s.hEval.ObserveExemplar(sec, item.Trace.Exemplar())
 	}
 	s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvResult, Worker: int(w.id), Item: ref.item, At: s.now()}))
 	// Quality cadence: the trigger detours through the job's core so
@@ -662,31 +658,6 @@ func (s *Scheduler) exec(j *job, acts []master.Action) {
 
 // --- job lifecycle --------------------------------------------------
 
-// jobAlg adapts a Borg instance for a job's core, metering the serial
-// critical section (the paper's T_A) into the job's advisor.
-type jobAlg struct {
-	b   *core.Borg
-	adv *advisor.Advisor
-}
-
-func (a *jobAlg) Suggest() *core.Solution {
-	t := time.Now()
-	s := a.b.Suggest()
-	a.adv.ObserveTA(time.Since(t).Seconds())
-	return s
-}
-
-func (a *jobAlg) Accept(sol *core.Solution) {
-	t := time.Now()
-	a.b.Accept(sol)
-	a.adv.ObserveTA(time.Since(t).Seconds())
-}
-
-func (a *jobAlg) AcceptSuggest(sol *core.Solution) *core.Solution {
-	a.Accept(sol)
-	return a.Suggest()
-}
-
 func (s *Scheduler) submit(spec *Spec) (Status, error) {
 	if s.draining.Load() {
 		s.mRejected.Inc()
@@ -776,18 +747,13 @@ func (s *Scheduler) startJob(j *job) {
 		// encode the solution), so an expired lease's wrapper and
 		// Solution can be reissued in place instead of cloned.
 		ReuseOnResubmit: true,
-		Alg:             &jobAlg{b: b, adv: j.adv},
 		Log:             j.log,
 		OnAccept:        s.onAcceptHook(j),
 		OnAcceptFrom:    s.onAcceptFromHook(j),
 	}
-	if j.trace != nil {
-		mcfg.Tracer = j.trace
-	}
-	if q := newJobQuality(j); q != nil {
-		q.Attach(b)
-		mcfg.OnQuality = func(seq uint64, at float64) { q.Sample(seq, at) }
-	}
+	// The measured serial critical section (the paper's T_A) feeds the
+	// job's advisor and trace.
+	master.NewMetered(b, master.MeterConfig{Advisor: j.adv, Trace: j.trace, Quality: newJobQuality(j)}).Install(&mcfg)
 	j.mcore = master.NewCore(mcfg)
 	if j.ck != nil {
 		if err := j.ck.openLog(j.log); err != nil {

@@ -112,31 +112,24 @@ type Action struct {
 	Item   *Item
 }
 
-// Algorithm is the Core's view of the optimizer. Drivers wrap the Borg
-// core, charging transport-appropriate T_A costs (DES holds, measured
-// wall time, sampled distributions) around the calls — the Core only
-// sequences them.
+// Algorithm is the Core's view of the optimizer: Metered in every
+// driver, which charges each critical section its transport's T_A.
+// The Core only sequences the calls, handing over the Item it is
+// folding in so the adapter can attribute the section to its lease.
 type Algorithm interface {
 	// Suggest generates one offspring (seeding, and lazy dispatch).
 	Suggest() *core.Solution
-	// Accept folds an evaluated solution in (lazy policy).
-	Accept(s *core.Solution)
-	// AcceptSuggest folds s in and generates the next offspring in one
+	// Accept folds an evaluated item in (lazy policy).
+	Accept(it *Item)
+	// AcceptSuggest folds it in and generates the next offspring in one
 	// critical section — the paper's combined T_A (eager policy).
-	AcceptSuggest(s *core.Solution) *core.Solution
-}
-
-// StagedAlgorithm is the optional Algorithm extension deferred-apply
-// mode needs: accepted results are staged cheaply while the grant goes
-// out, and applied — in staging order — at the next Handle or an
-// explicit Core.Flush. Splitting the accept this way keeps grants from
-// queueing behind archive insertion (asynchronous-sorting style): the
-// returning worker's next evaluation overlaps the master's T_A.
-type StagedAlgorithm interface {
-	Algorithm
-	// StageAccept records an evaluated solution without folding it in.
-	StageAccept(s *core.Solution)
-	// ApplyStaged folds every staged solution in, in staging order.
+	AcceptSuggest(it *Item) *core.Solution
+	// StageAccept records an evaluated item without folding it in, and
+	// ApplyStaged folds every staged item in, in staging order — the
+	// split deferred-apply mode uses. Staging keeps grants from queueing
+	// behind archive insertion (asynchronous-sorting style): the
+	// returning worker's next evaluation overlaps the master's T_A.
+	StageAccept(it *Item)
 	ApplyStaged()
 }
 
@@ -182,9 +175,9 @@ type Config struct {
 	// Alg is the optimizer adapter (required).
 	Alg Algorithm
 	// DeferApply splits each accepted result into a cheap stage and a
-	// deferred apply (Alg must implement StagedAlgorithm; NewCore
-	// panics otherwise). Under the eager policy the next offspring is
-	// then suggested — one accept staler — and granted before the
+	// deferred apply (StageAccept, then ApplyStaged). Under the eager
+	// policy the next offspring is then suggested — one accept
+	// staler — and granted before the
 	// staged result is folded in; the apply runs at the next Handle or
 	// an explicit Flush, overlapping the grant's transmission and the
 	// worker's evaluation. Deferral changes where the algorithm's RNG
@@ -288,10 +281,8 @@ type Core struct {
 	done        bool
 	acts        []Action
 
-	// staged is cfg.Alg's StagedAlgorithm view when DeferApply is on
-	// (nil otherwise); stagedDirty marks an accept staged but not yet
-	// applied.
-	staged      StagedAlgorithm
+	// stagedDirty marks an accept staged but not yet applied
+	// (DeferApply only).
 	stagedDirty bool
 
 	// freeItems recycles the Item wrappers of accepted results, and
@@ -310,19 +301,11 @@ func NewCore(cfg Config) *Core {
 		cfg.MaxProbes = DefaultMaxProbes
 	}
 	cfg.Log.setMeta(LogMeta{Policy: cfg.Policy, Budget: cfg.Budget, LeaseTimeout: cfg.LeaseTimeout, DeferApply: cfg.DeferApply})
-	c := &Core{
+	return &Core{
 		cfg:         cfg,
 		reg:         NewRegistry(),
 		outstanding: make(map[uint64]*lease),
 	}
-	if cfg.DeferApply {
-		sa, ok := cfg.Alg.(StagedAlgorithm)
-		if !ok {
-			panic("master: DeferApply requires a StagedAlgorithm")
-		}
-		c.staged = sa
-	}
-	return c
 }
 
 // Handle applies one event and returns the actions it implies, in
@@ -381,7 +364,7 @@ func (c *Core) flush() {
 		return
 	}
 	c.stagedDirty = false
-	c.staged.ApplyStaged()
+	c.cfg.Alg.ApplyStaged()
 }
 
 // AttachLog swaps the Core's event log mid-run. Replay leaves the
@@ -513,18 +496,18 @@ func (c *Core) result(ev Event) {
 	w.probes = 0
 	if c.cfg.Policy == EagerOffspring {
 		var next *core.Solution
-		if c.staged != nil && c.stats.Completed+1 < c.cfg.Budget {
+		if c.cfg.DeferApply && c.stats.Completed+1 < c.cfg.Budget {
 			// Deferred apply: stage the result, suggest the next
 			// offspring from the one-accept-staler state, and grant it
 			// before the insertion work runs (it lands at Flush or the
 			// next Handle). The budget-reaching accept takes the plain
 			// path — nothing is granted after it and completion must
 			// see the applied state.
-			c.staged.StageAccept(item.S)
+			c.cfg.Alg.StageAccept(item)
 			c.stagedDirty = true
 			next = c.cfg.Alg.Suggest()
 		} else {
-			next = c.cfg.Alg.AcceptSuggest(item.S)
+			next = c.cfg.Alg.AcceptSuggest(item)
 		}
 		c.recycleItem(item)
 		c.accepted()
@@ -547,13 +530,13 @@ func (c *Core) result(ev Event) {
 		c.dispatch(ev.At)
 		return
 	}
-	if c.staged != nil {
+	if c.cfg.DeferApply {
 		// Lazy/scheduled deferred apply: dispatch-time Suggests run one
 		// accept staler; the apply lands at Flush or the next Handle.
-		c.staged.StageAccept(item.S)
+		c.cfg.Alg.StageAccept(item)
 		c.stagedDirty = true
 	} else {
-		c.cfg.Alg.Accept(item.S)
+		c.cfg.Alg.Accept(item)
 	}
 	c.recycleItem(item)
 	c.accepted()

@@ -19,12 +19,19 @@ func (a *stubAlg) Suggest() *core.Solution {
 	return &core.Solution{Vars: []float64{float64(a.suggested)}}
 }
 
-func (a *stubAlg) Accept(s *core.Solution) { a.accepted = append(a.accepted, s.Vars[0]) }
+func (a *stubAlg) Accept(it *Item) { a.accept(it.S) }
 
-func (a *stubAlg) AcceptSuggest(s *core.Solution) *core.Solution {
-	a.Accept(s)
+func (a *stubAlg) accept(s *core.Solution) { a.accepted = append(a.accepted, s.Vars[0]) }
+
+func (a *stubAlg) AcceptSuggest(it *Item) *core.Solution {
+	a.Accept(it)
 	return a.Suggest()
 }
+
+// StageAccept folds in immediately: the plain stub has no deferred
+// state worth modelling (stagedStub does).
+func (a *stubAlg) StageAccept(it *Item) { a.Accept(it) }
+func (a *stubAlg) ApplyStaged()         {}
 
 func wantGrant(t *testing.T, acts []Action, i, worker int, item uint64) {
 	t.Helper()

@@ -9,7 +9,7 @@ import (
 	"borgmoea/internal/core"
 )
 
-// stagedStub is stubAlg plus the StagedAlgorithm extension, recording
+// stagedStub is stubAlg with a real staging queue, recording
 // the exact algorithm-call sequence so tests can pin where deferred
 // applies land relative to suggests.
 type stagedStub struct {
@@ -24,24 +24,26 @@ func (a *stagedStub) Suggest() *core.Solution {
 	return s
 }
 
-func (a *stagedStub) Accept(s *core.Solution) {
-	a.stubAlg.Accept(s)
+func (a *stagedStub) Accept(it *Item) { a.accept(it.S) }
+
+func (a *stagedStub) accept(s *core.Solution) {
+	a.stubAlg.accept(s)
 	a.calls = append(a.calls, fmt.Sprintf("accept:%g", s.Vars[0]))
 }
 
-func (a *stagedStub) AcceptSuggest(s *core.Solution) *core.Solution {
-	a.Accept(s)
+func (a *stagedStub) AcceptSuggest(it *Item) *core.Solution {
+	a.Accept(it)
 	return a.Suggest()
 }
 
-func (a *stagedStub) StageAccept(s *core.Solution) {
-	a.calls = append(a.calls, fmt.Sprintf("stage:%g", s.Vars[0]))
-	a.queued = append(a.queued, s)
+func (a *stagedStub) StageAccept(it *Item) {
+	a.calls = append(a.calls, fmt.Sprintf("stage:%g", it.S.Vars[0]))
+	a.queued = append(a.queued, it.S)
 }
 
 func (a *stagedStub) ApplyStaged() {
 	for _, s := range a.queued {
-		a.Accept(s)
+		a.accept(s)
 	}
 	a.queued = a.queued[:0]
 }
@@ -161,16 +163,6 @@ func TestDeferApplySameProtocolDecisions(t *testing.T) {
 	if !bytes.Equal(run(true).CanonicalBytes(), run(false).CanonicalBytes()) {
 		t.Fatal("deferred and plain runs made different protocol decisions")
 	}
-}
-
-// TestDeferApplyRequiresStagedAlgorithm: misconfiguration fails fast.
-func TestDeferApplyRequiresStagedAlgorithm(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DeferApply with a plain Algorithm did not panic")
-		}
-	}()
-	NewCore(Config{Budget: 1, Policy: EagerOffspring, DeferApply: true, Alg: &stubAlg{}})
 }
 
 // TestLogMetaDeferApplyRoundTrip: the flag survives serialization in
@@ -338,6 +330,8 @@ type preallocAlg struct {
 	s core.Solution
 }
 
-func (a *preallocAlg) Suggest() *core.Solution                     { return &a.s }
-func (a *preallocAlg) Accept(*core.Solution)                       {}
-func (a *preallocAlg) AcceptSuggest(*core.Solution) *core.Solution { return &a.s }
+func (a *preallocAlg) Suggest() *core.Solution            { return &a.s }
+func (a *preallocAlg) Accept(*Item)                       {}
+func (a *preallocAlg) AcceptSuggest(*Item) *core.Solution { return &a.s }
+func (a *preallocAlg) StageAccept(*Item)                  {}
+func (a *preallocAlg) ApplyStaged()                       {}

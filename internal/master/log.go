@@ -274,13 +274,11 @@ func ReadLog(r io.Reader) (*Log, error) {
 // not depend on solution contents, so empty suggestions suffice.
 type traceStubAlg struct{}
 
-func (traceStubAlg) Suggest() *core.Solution { return &core.Solution{} }
-func (traceStubAlg) Accept(*core.Solution)   {}
-func (traceStubAlg) AcceptSuggest(*core.Solution) *core.Solution {
-	return &core.Solution{}
-}
-func (traceStubAlg) StageAccept(*core.Solution) {}
-func (traceStubAlg) ApplyStaged()               {}
+func (traceStubAlg) Suggest() *core.Solution            { return &core.Solution{} }
+func (traceStubAlg) Accept(*Item)                       {}
+func (traceStubAlg) AcceptSuggest(*Item) *core.Solution { return &core.Solution{} }
+func (traceStubAlg) StageAccept(*Item)                  {}
+func (traceStubAlg) ApplyStaged()                       {}
 
 // ReplayTrace re-feeds the recorded event stream through a fresh Core
 // with only the tracer attached, re-deriving the exact tracer-call
@@ -296,7 +294,10 @@ func (l *Log) ReplayTrace(t obs.ProtocolTracer) error {
 // ReplayConfig parameterizes Replay.
 type ReplayConfig struct {
 	// Alg is the optimizer adapter, seeded exactly as the recorded run
-	// was (required).
+	// was (required). A *Metered is installed as in a live run
+	// (Metered.Install): a quality sampler it carries re-triggers the
+	// recorded samples at the identical points in the accept stream,
+	// regenerating the original run's timeline byte for byte.
 	Alg Algorithm
 	// Evaluate re-computes a solution's objectives when its result
 	// event is about to be accepted — the replay stand-in for the
@@ -317,12 +318,6 @@ type ReplayConfig struct {
 	// sidecar log the original run kept and folds the same solution
 	// back into the algorithm.
 	OnMigrant func(source int, epoch uint64)
-	// OnQuality re-triggers the recorded quality samples: a sampler
-	// attached here observes the replayed algorithm at the identical
-	// points in the accept stream, regenerating the original run's
-	// quality timeline byte-for-byte (parallel.ReplayAsync rides
-	// this).
-	OnQuality func(seq uint64, at float64)
 	// Tracer re-derives the recorded run's trace hooks: because the
 	// Core mints span contexts deterministically from event data, the
 	// replayed hooks are identical to the live ones (obs.TracesFromLog
@@ -341,7 +336,7 @@ func Replay(log *Log, rc ReplayConfig) (*Core, error) {
 	if rc.Alg == nil {
 		return nil, fmt.Errorf("master: Replay needs an Algorithm")
 	}
-	c := NewCore(Config{
+	cfg := Config{
 		Budget:       log.Meta.Budget,
 		LeaseTimeout: log.Meta.LeaseTimeout,
 		Policy:       log.Meta.Policy,
@@ -352,9 +347,12 @@ func Replay(log *Log, rc ReplayConfig) (*Core, error) {
 		OnAccept:     rc.OnAccept,
 		OnAcceptFrom: rc.OnAcceptFrom,
 		OnMigrant:    rc.OnMigrant,
-		OnQuality:    rc.OnQuality,
 		Tracer:       rc.Tracer,
-	})
+	}
+	if m, ok := rc.Alg.(*Metered); ok {
+		m.Install(&cfg)
+	}
+	c := NewCore(cfg)
 	for _, ev := range log.Events {
 		if ev.Kind == EvResult && rc.Evaluate != nil {
 			// The original worker evaluated before sending; reproduce

@@ -317,3 +317,77 @@ func BenchmarkSimulate32(b *testing.B) {
 		}
 	}
 }
+
+// TestSimulateCountsOnlyBudget: at P = 1024 and T_F = 1 ms the master
+// is saturated and hundreds of evaluations are in flight when the N-th
+// completes. Only the first N count, and master time after T_P is not
+// charged, so utilisation never exceeds 1.
+func TestSimulateCountsOnlyBudget(t *testing.T) {
+	const n = 100000
+	res, err := Simulate(SimConfig{
+		Processors: 1024, Evaluations: n,
+		TF:   stats.GammaFromMeanCV(0.001, 0.1),
+		TA:   stats.GammaFromMeanCV(0.00005, 0.1),
+		TC:   stats.NewConstant(6e-6),
+		Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluations != n {
+		t.Errorf("Evaluations = %d, want %d", res.Evaluations, n)
+	}
+	if res.MasterUtilization > 1 || res.MasterUtilization < 0.99 {
+		t.Errorf("MasterUtilization = %v, want saturated but at most 1", res.MasterUtilization)
+	}
+}
+
+// TestSimulateElapsedPinned pins T_P bit for bit over the Table II
+// grid (at a smaller N). The constants predate the fix that stopped
+// counting evaluations past N, which must not move T_P.
+func TestSimulateElapsedPinned(t *testing.T) {
+	for _, c := range []struct {
+		tf   float64
+		p    int
+		want uint64
+	}{
+		{0.001, 16, 0x3ff7c528a8d46dc3},
+		{0.001, 32, 0x3ff3e14106823d49},
+		{0.001, 64, 0x3ff3e03c11435f94},
+		{0.001, 128, 0x3ff3e6b5da87142d},
+		{0.001, 256, 0x3ff3de58c046410a},
+		{0.001, 512, 0x3ff3e20d2e3310b5},
+		{0.001, 1024, 0x3ff3e11837892f48},
+		{0.01, 16, 0x402added55a6a5d8},
+		{0.01, 32, 0x401a0ae321a02cb5},
+		{0.01, 64, 0x4009c5b646a26c41},
+		{0.01, 128, 0x3ff9ea59944caa38},
+		{0.01, 256, 0x3ff42a6313611d84},
+		{0.01, 512, 0x3ff4311897125d59},
+		{0.01, 1024, 0x3ff435ae7b285b20},
+		{0.1, 16, 0x4060b191460bdfec},
+		{0.1, 32, 0x40502c2ba1a017c6},
+		{0.1, 64, 0x403ff64fb760d84f},
+		{0.1, 128, 0x402fd4860bddcc79},
+		{0.1, 256, 0x40200910b847f689},
+		{0.1, 512, 0x401063b3588c11b4},
+		{0.1, 1024, 0x4001486d478108fe},
+	} {
+		res, err := Simulate(SimConfig{
+			Processors: c.p, Evaluations: 20000,
+			TF:   stats.GammaFromMeanCV(c.tf, 0.1),
+			TA:   stats.GammaFromMeanCV(0.00005, 0.1),
+			TC:   stats.NewConstant(6e-6),
+			Seed: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(res.Elapsed); got != c.want {
+			t.Errorf("T_F=%g P=%d: Elapsed %v (%#x), want %v", c.tf, c.p, res.Elapsed, got, math.Float64frombits(c.want))
+		}
+		if res.Evaluations != 20000 || res.MasterUtilization > 1 {
+			t.Errorf("T_F=%g P=%d: %d evaluations, utilisation %v", c.tf, c.p, res.Evaluations, res.MasterUtilization)
+		}
+	}
+}

@@ -29,17 +29,21 @@ type SimConfig struct {
 
 // SimResult reports the simulated run.
 type SimResult struct {
-	// Elapsed is the simulated T_P.
+	// Elapsed is the simulated T_P: the evaluations in flight at the
+	// N-th completion are never interrupted, and T_P is when the last
+	// of them lands.
 	Elapsed float64
-	// MasterUtilization is the master resource's busy fraction —
-	// near 1.0 means saturation (P beyond Eq. 3's bound).
+	// MasterUtilization is the master resource's busy fraction within
+	// [0, T_P] — near 1.0 means saturation (P beyond Eq. 3's bound).
 	MasterUtilization float64
 	// MeanQueueLength is the time-averaged number of workers waiting
 	// for the master, the contention the analytical model ignores.
 	MeanQueueLength float64
 	// MaxQueueLength is the worst instantaneous queue.
 	MaxQueueLength int
-	// Evaluations completed (== the configured budget).
+	// Evaluations counts the first N completions only (== the
+	// configured budget); the in-flight ones that land after the N-th
+	// are not counted.
 	Evaluations uint64
 }
 
@@ -69,7 +73,7 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 	r := rng.New(cfg.Seed ^ 0x73696d) // "sim"
 
 	completed := uint64(0)
-	var elapsed float64
+	var elapsed, busy float64
 	for w := 1; w < cfg.Processors; w++ {
 		wr := r.Split()
 		eng.Go(fmt.Sprintf("worker%d", w), func(p *des.Process) {
@@ -86,9 +90,14 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 					return
 				}
 				p.Hold(max(0, cfg.TF.Sample(wr)))
-				completed++
+				if completed < cfg.Evaluations {
+					completed++
+				}
 				if completed >= cfg.Evaluations {
+					// Master holds that outlast T_P are not part of
+					// the run: read the busy time now.
 					elapsed = p.Now()
+					busy = master.Stats().BusyTimeTotal
 					return
 				}
 			}
@@ -106,7 +115,7 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 		MasterUtilization: 0,
 	}
 	if elapsed > 0 {
-		res.MasterUtilization = st.BusyTimeTotal / elapsed
+		res.MasterUtilization = busy / elapsed
 	}
 	return res, nil
 }

@@ -34,6 +34,16 @@ func (c SpanContext) Valid() bool { return c.TraceID != 0 }
 // Sampled reports the head-based sampling bit.
 func (c SpanContext) Sampled() bool { return c.Flags&FlagSampled != 0 }
 
+// Exemplar returns the trace id a latency histogram should pin to the
+// bucket an observation lands in: the id of a sampled trace, else 0
+// (ObserveExemplar treats 0 as "no exemplar").
+func (c SpanContext) Exemplar() uint64 {
+	if c.Sampled() {
+		return c.TraceID
+	}
+	return 0
+}
+
 // Mix64 is the splitmix64 finalizer: a cheap, well-distributed 64-bit
 // hash used for trace-id minting and sampling decisions.
 func Mix64(x uint64) uint64 {

@@ -5,61 +5,8 @@ import (
 	"borgmoea/internal/core"
 	"borgmoea/internal/des"
 	"borgmoea/internal/master"
-	"borgmoea/internal/obs"
 	"borgmoea/internal/rng"
 )
-
-// desAlg adapts the Borg core to the shared master state machine for
-// the virtual-time driver: every critical section is metered (sampled
-// or measured T_A) and charged to the master node as an "algo" hold,
-// exactly as the paper instruments it.
-type desAlg struct {
-	b     *core.Borg
-	p     *des.Process
-	node  *cluster.Node
-	meter *taMeter
-	trace *obs.Collector // nil-safe
-	// curItem is the lease id of the result being folded in: the master
-	// loop stashes it before Handle(EvResult) so the accept critical
-	// section can attribute its T_A to the evaluation's trace.
-	curItem uint64
-}
-
-func (a *desAlg) Suggest() *core.Solution {
-	var s *core.Solution
-	ta := a.meter.measure(func() { s = a.b.Suggest() })
-	a.node.HoldBusy(a.p, ta, "algo")
-	return s
-}
-
-func (a *desAlg) Accept(s *core.Solution) {
-	ta := a.meter.measure(func() { a.b.Accept(s) })
-	a.node.HoldBusy(a.p, ta, "algo")
-	a.trace.ObserveTA(a.curItem, ta)
-}
-
-func (a *desAlg) AcceptSuggest(s *core.Solution) *core.Solution {
-	var next *core.Solution
-	ta := a.meter.measure(func() {
-		a.b.Accept(s)
-		next = a.b.Suggest()
-	})
-	a.node.HoldBusy(a.p, ta, "algo")
-	a.trace.ObserveTA(a.curItem, ta)
-	return next
-}
-
-// StageAccept is the cheap half of a deferred accept: an append, not
-// worth a virtual-time charge (Config.DeferArchive).
-func (a *desAlg) StageAccept(s *core.Solution) { a.b.StageAccept(s) }
-
-// ApplyStaged is the deferred archive insertion, charged as T_A after
-// the grant instead of before it.
-func (a *desAlg) ApplyStaged() {
-	ta := a.meter.measure(func() { a.b.ApplyStaged() })
-	a.node.HoldBusy(a.p, ta, "algo")
-	a.trace.ObserveTA(a.curItem, ta)
-}
 
 // RunAsync executes the asynchronous, master-slave Borg MOEA on the
 // virtual cluster and returns its timing and search results.
@@ -104,7 +51,7 @@ func RunAsync(cfg Config) (*Result, error) {
 	adv := cfg.Advisor
 	adv.Configure(cfg.Processors, cfg.Evaluations)
 	masterRng := rng.New(cfg.Seed ^ 0x6d617374) // "mast"
-	meter := &taMeter{dist: cfg.TA, rng: masterRng, capture: cfg.CaptureTimings, hist: meters.TA, adv: adv}
+	var alg *master.Metered
 	tcSum, tcN := 0.0, uint64(0)
 	sampleTC := func() float64 {
 		tc := cfg.TC.Sample(masterRng)
@@ -124,33 +71,20 @@ func RunAsync(cfg Config) (*Result, error) {
 	// Master process: one shared state machine, one mailbox.
 	node := cl.Node(0)
 	eng.Go("master", func(p *des.Process) {
-		alg := &desAlg{b: b, p: p, node: node, meter: meter, trace: cfg.Trace}
+		// Every critical section is charged to the master node as an
+		// "algo" hold, exactly as the paper instruments it.
+		alg = master.NewMetered(b, cfg.meterConfig(meters, masterRng, func(ta float64) { node.HoldBusy(p, ta, "algo") }))
 		mcfg := master.Config{
 			Budget:       cfg.Evaluations,
 			LeaseTimeout: cfg.LeaseTimeout,
 			Policy:       master.EagerOffspring,
 			DeferApply:   cfg.DeferArchive,
-			Alg:          alg,
 			Meters:       meters,
 			Emit:         func(kind, detail string) { eng.Emit(kind, "master", detail) },
 			Log:          cfg.Protocol,
-			OnAccept: func(n uint64) {
-				if cfg.CheckpointEvery > 0 && n%cfg.CheckpointEvery == 0 && cfg.OnCheckpoint != nil {
-					meters.Checkpoints.Inc()
-					cfg.OnCheckpoint(p.Now(), b)
-				}
-			},
+			OnAccept:     cfg.checkpointHook(meters, p.Now, b),
 		}
-		if adv != nil {
-			mcfg.OnAcceptFrom = adv.ObserveAccept
-		}
-		if cfg.Trace != nil {
-			mcfg.Tracer = cfg.Trace
-		}
-		if q := cfg.Quality; q != nil {
-			q.Attach(b)
-			mcfg.OnQuality = func(seq uint64, at float64) { q.Sample(seq, at) }
-		}
+		alg.Install(&mcfg)
 		m = master.NewCore(mcfg)
 		exec := func(acts []master.Action) {
 			for _, a := range acts {
@@ -203,10 +137,9 @@ func RunAsync(cfg Config) (*Result, error) {
 				continue
 			}
 			item := msg.Payload.(*master.Item)
-			meters.QueueWait.ObserveExemplar(wait, sampledTraceID(item))
+			meters.QueueWait.ObserveExemplar(wait, item.Trace.Exemplar())
 			cfg.Trace.ObserveQueueWait(item.ID, wait)
 			cfg.Trace.ObserveTCRecv(item.ID, tc)
-			alg.curItem = item.ID
 			exec(m.Handle(master.Event{Kind: master.EvResult, Worker: msg.From, Item: item.ID, At: p.Now()}))
 			// Deferred mode: the grant's T_C hold has been charged; fold
 			// the staged result in now, charging its T_A after the send
@@ -246,9 +179,9 @@ func RunAsync(cfg Config) (*Result, error) {
 		}
 		res.MeanWorkerUtilization = sum / float64(cfg.Processors-1)
 	}
-	res.MeanTA = meter.mean()
-	res.TASamples = meter.samples
-	mergeTF(res, recs...)
+	res.MeanTA = alg.Mean()
+	res.TASamples = alg.Samples()
+	res.MeanTF, res.TFSamples = mergeTF(recs...)
 	if tcN > 0 {
 		res.MeanTC = tcSum / float64(tcN)
 	}

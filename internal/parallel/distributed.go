@@ -73,46 +73,6 @@ type distEvent struct {
 	err  error
 }
 
-// distAlg adapts the Borg core for the distributed driver, metering
-// Accept and Suggest separately (the lazy policy splits them across
-// the result and dispatch paths); per completed evaluation they sum to
-// the paper's T_A.
-type distAlg struct {
-	b     *core.Borg
-	meter *taMeter
-	trace *obs.Collector // nil-safe
-	// curItem is the lease id of the result being folded in (see
-	// desAlg.curItem); the lazy policy's dispatch-path Suggest is not
-	// attributed to any one evaluation.
-	curItem uint64
-}
-
-func (a *distAlg) Suggest() *core.Solution {
-	var s *core.Solution
-	a.meter.measure(func() { s = a.b.Suggest() })
-	return s
-}
-
-func (a *distAlg) Accept(s *core.Solution) {
-	ta := a.meter.measure(func() { a.b.Accept(s) })
-	a.trace.ObserveTA(a.curItem, ta)
-}
-
-func (a *distAlg) AcceptSuggest(s *core.Solution) *core.Solution {
-	a.Accept(s)
-	return a.Suggest()
-}
-
-// StageAccept is the cheap half of a deferred accept (Config.DeferArchive).
-func (a *distAlg) StageAccept(s *core.Solution) { a.b.StageAccept(s) }
-
-// ApplyStaged is the deferred archive insertion, metered as T_A after
-// the grant frame went out.
-func (a *distAlg) ApplyStaged() {
-	ta := a.meter.measure(func() { a.b.ApplyStaged() })
-	a.trace.ObserveTA(a.curItem, ta)
-}
-
 // RunAsyncDistributed executes the asynchronous master-slave Borg MOEA
 // over real TCP: the master listens, borgd workers dial in, and the
 // shared lease/resubmission protocol recovers evaluations lost to
@@ -242,7 +202,10 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	res := &Result{Final: b}
 	meters := master.NewMeters(cfg.Metrics)
 	journal := cfg.Events
-	meter := &taMeter{dist: cfg.TA, rng: rng.New(cfg.Seed ^ 0x6d617374), capture: cfg.CaptureTimings, hist: meters.TA, adv: adv}
+	// Accept and Suggest are metered as separate sections (the lazy
+	// policy splits them across the result and dispatch paths); per
+	// completed evaluation they sum to the paper's T_A.
+	alg := master.NewMetered(b, cfg.meterConfig(meters, rng.New(cfg.Seed^0x6d617374), nil))
 	byID := make(map[uint64]*distSession)
 	tfSum, tfN := 0.0, uint64(0)
 	start := time.Now()
@@ -259,7 +222,6 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	if leaseTimeout > 0 {
 		coreTimeout = leaseTimeout.Seconds()
 	}
-	alg := &distAlg{b: b, meter: meter, trace: cfg.Trace}
 	mcfg := master.Config{
 		Budget:       cfg.Evaluations,
 		LeaseTimeout: coreTimeout,
@@ -269,27 +231,12 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 		// solution), so an expired lease's wrapper and Solution can be
 		// reissued in place instead of cloned.
 		ReuseOnResubmit: true,
-		Alg:             alg,
 		Meters:          meters,
 		Emit:            func(kind, detail string) { record(obs.Event{Kind: kind, Actor: "master", Detail: detail}) },
 		Log:             cfg.Protocol,
-		OnAccept: func(n uint64) {
-			if cfg.CheckpointEvery > 0 && n%cfg.CheckpointEvery == 0 && cfg.OnCheckpoint != nil {
-				meters.Checkpoints.Inc()
-				cfg.OnCheckpoint(since(), b)
-			}
-		},
+		OnAccept:        cfg.checkpointHook(meters, since, b),
 	}
-	if adv != nil {
-		mcfg.OnAcceptFrom = adv.ObserveAccept
-	}
-	if cfg.Trace != nil {
-		mcfg.Tracer = cfg.Trace
-	}
-	if q := cfg.Quality; q != nil {
-		q.Attach(b)
-		mcfg.OnQuality = func(seq uint64, at float64) { q.Sample(seq, at) }
-	}
+	alg.Install(&mcfg)
 	m := master.NewCore(mcfg)
 
 	// drop tears down a session's transport; the state machine hears
@@ -408,10 +355,9 @@ loop:
 					evalSec := float64(msg.EvalNanos) / 1e9
 					tfSum += evalSec
 					tfN++
-					meters.TF.ObserveExemplar(evalSec, sampledTraceID(item))
+					meters.TF.ObserveExemplar(evalSec, item.Trace.Exemplar())
 					adv.ObserveTF(int(s.id), evalSec)
 					cfg.Trace.ObserveTF(item.ID, evalSec)
-					alg.curItem = item.ID
 					if journal != nil {
 						// Reconstruct the worker's eval span master-side
 						// from the reported duration.
@@ -460,16 +406,14 @@ loop:
 	res.LostEvaluations = st.Lost
 	res.DuplicateResults = st.Duplicates
 	res.Processors = m.Peak() + 1
-	res.MasterBusy = meter.sum
+	res.MasterBusy = alg.Sum()
 	if res.ElapsedTime > 0 {
 		res.MasterUtilization = res.MasterBusy / res.ElapsedTime
 	}
 	if st.Completed > 0 {
-		// Accept and Suggest are metered separately here; per
-		// completed evaluation they sum to the paper's T_A.
-		res.MeanTA = meter.sum / float64(st.Completed)
+		res.MeanTA = alg.Sum() / float64(st.Completed)
 	}
-	res.TASamples = meter.samples
+	res.TASamples = alg.Samples()
 	if tfN > 0 {
 		res.MeanTF = tfSum / float64(tfN)
 	}

@@ -78,34 +78,6 @@ func (r *IslandsResult) Efficiency(meanTF, meanTA float64, totalProcessors int) 
 	return ts / (float64(totalProcessors) * r.ElapsedTime)
 }
 
-// islandAlg adapts one island's Borg instance to the shared master
-// state machine, charging a sampled T_A per critical section to the
-// island's master node.
-type islandAlg struct {
-	b        *core.Borg
-	p        *des.Process
-	node     *cluster.Node
-	sampleTA func() float64
-}
-
-func (a *islandAlg) Suggest() *core.Solution {
-	s := a.b.Suggest()
-	a.node.HoldBusy(a.p, a.sampleTA(), "algo")
-	return s
-}
-
-func (a *islandAlg) Accept(s *core.Solution) {
-	a.b.Accept(s)
-	a.node.HoldBusy(a.p, a.sampleTA(), "algo")
-}
-
-func (a *islandAlg) AcceptSuggest(s *core.Solution) *core.Solution {
-	a.b.Accept(s)
-	next := a.b.Suggest()
-	a.node.HoldBusy(a.p, a.sampleTA(), "algo")
-	return next
-}
-
 // RunIslands executes Islands concurrent asynchronous master-slave
 // Borg instances under one virtual clock. Each island master runs its
 // own instance of the shared state machine (internal/master) with
@@ -160,12 +132,12 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 	// federation puts on the network.
 	const tagMigrant = 100
 
-	// Per-process timing recorders: one T_A recorder per island master,
-	// one T_F recorder per worker, merged in deterministic (island-
-	// major, rank) order after the run — no shared counters are touched
-	// from inside process closures.
-	taRecs := make([]*tfRecorder, k)
-	tfRecs := make([][]*tfRecorder, k)
+	// Per-process timing records: each island master's adapter meters
+	// its own T_A, each worker owns a T_F recorder, and all are merged
+	// in deterministic (island-major, rank) order after the run — no
+	// shared counters are touched from inside process closures.
+	algs := make([]*master.Metered, k)
+	tfRecs := make([]*tfRecorder, 0, k*(perP-1))
 
 	for isl := 0; isl < k; isl++ {
 		isl := isl
@@ -180,26 +152,18 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 
 		mRng := rng.New(base.Seed ^ (uint64(isl+1) * 0x6d61)) // per-island master stream (T_A, T_C)
 		migRng := federation.NewMigrationRNG(base.Seed, isl)  // emigrant selection, shared with TCP
-		taRec := &tfRecorder{capture: base.CaptureTimings, hist: meters.TA}
-		taRecs[isl] = taRec
 		sampleTC := func() float64 {
 			tc := base.TC.Sample(mRng)
 			meters.TC.Observe(tc)
 			return tc
 		}
-		sampleTA := func() float64 {
-			ta := base.TA.Sample(mRng)
-			taRec.record(ta)
-			return ta
-		}
 
 		// Island workers.
-		tfRecs[isl] = make([]*tfRecorder, perP-1)
 		for w := 1; w < perP; w++ {
 			rank := masterRank + w
 			node := cl.Node(rank)
 			tfRec := &tfRecorder{capture: base.CaptureTimings, hist: meters.TF}
-			tfRecs[isl][w-1] = tfRec
+			tfRecs = append(tfRecs, tfRec)
 			wRng := rng.New(base.Seed ^ (uint64(rank+1) * 0x9e3779b97f4a7c15))
 			eng.Go(fmt.Sprintf("i%dworker%d", isl, w), func(p *des.Process) {
 				for {
@@ -210,7 +174,7 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 					item := msg.Payload.(*master.Item)
 					core.EvaluateSolution(base.Problem, item.S)
 					tf := base.TF.Sample(wRng)
-					tfRec.record(tf)
+					tfRec.record(tf, 0)
 					node.HoldBusy(p, tf, "eval")
 					node.Send(masterRank, tagResult, item)
 				}
@@ -235,20 +199,28 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 			// hook under Handle — the same injection point federation
 			// replays resolve from the migrant sidecar log.
 			var staged *core.Solution
-			m := master.NewCore(master.Config{
+			alg := master.NewMetered(b, master.MeterConfig{
+				TA:      base.TA,
+				Rng:     mRng,
+				Charge:  func(ta float64) { node.HoldBusy(p, ta, "algo") },
+				Capture: base.CaptureTimings,
+				Hist:    meters.TA,
+			})
+			algs[isl] = alg
+			mcfg := master.Config{
 				Budget: base.Evaluations,
 				Policy: master.EagerOffspring,
-				Alg:    &islandAlg{b: b, p: p, node: node, sampleTA: sampleTA},
 				Meters: meters,
 				Log:    ilog,
 				OnMigrant: func(source int, epoch uint64) {
 					if staged != nil {
-						b.InjectEvaluated(staged)
-						node.HoldBusy(p, sampleTA(), "algo")
+						alg.Inject(staged)
 						staged = nil
 					}
 				},
-			})
+			}
+			alg.Install(&mcfg)
+			m := master.NewCore(mcfg)
 			exec := func(acts []master.Action) {
 				for _, a := range acts {
 					switch a.Kind {
@@ -376,23 +348,15 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 
 	// Aggregate per-island timing observations (island-major order).
 	taSum, taN := 0.0, uint64(0)
-	tfSum, tfN := 0.0, uint64(0)
-	for isl := 0; isl < k; isl++ {
-		taSum += taRecs[isl].sum
-		taN += taRecs[isl].n
-		res.TASamples = append(res.TASamples, taRecs[isl].samples...)
-		for _, r := range tfRecs[isl] {
-			tfSum += r.sum
-			tfN += r.n
-			res.TFSamples = append(res.TFSamples, r.samples...)
-		}
+	for _, alg := range algs {
+		taSum += alg.Sum()
+		taN += alg.Count()
+		res.TASamples = append(res.TASamples, alg.Samples()...)
 	}
 	if taN > 0 {
 		res.MeanTA = taSum / float64(taN)
 	}
-	if tfN > 0 {
-		res.MeanTF = tfSum / float64(tfN)
-	}
+	res.MeanTF, res.TFSamples = mergeTF(tfRecs...)
 
 	// Merge: ε-nondominated union of all island archives, via the same
 	// helper the federation (and its replays) use.

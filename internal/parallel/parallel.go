@@ -18,7 +18,6 @@ package parallel
 
 import (
 	"fmt"
-	"time"
 
 	"borgmoea/internal/advisor"
 	"borgmoea/internal/core"
@@ -312,44 +311,34 @@ func (r *Result) Efficiency() float64 {
 	return r.SerialTime() / (float64(r.Processors) * r.ElapsedTime)
 }
 
-// taMeter measures or samples the master's algorithm time.
-type taMeter struct {
-	dist    stats.Distribution
-	rng     *rng.Source
-	capture bool
-	samples []float64
-	sum     float64
-	n       uint64
-	hist    *obs.Histogram   // optional telemetry sink (nil-safe)
-	adv     *advisor.Advisor // optional advisor feed (nil-safe)
+// meterConfig is the run's T_A adapter configuration: T_A sampled
+// from TA on r (nil TA measures wall-clock time), charged through
+// charge, and reported to the run's histogram, advisor, trace
+// collector and quality sampler.
+func (c *Config) meterConfig(meters master.Meters, r *rng.Source, charge func(ta float64)) master.MeterConfig {
+	return master.MeterConfig{
+		TA:      c.TA,
+		Rng:     r,
+		Charge:  charge,
+		Capture: c.CaptureTimings,
+		Hist:    meters.TA,
+		Advisor: c.Advisor,
+		Trace:   c.Trace,
+		Quality: c.Quality,
+	}
 }
 
-// measure wraps the master critical section fn, returning the T_A
-// charge: sampled from the distribution when set, otherwise the
-// measured wall-clock duration of fn.
-func (m *taMeter) measure(fn func()) float64 {
-	var ta float64
-	if m.dist != nil {
-		fn()
-		ta = m.dist.Sample(m.rng)
-	} else {
-		start := time.Now()
-		fn()
-		ta = time.Since(start).Seconds()
+// checkpointHook returns the master's OnAccept hook that hands the
+// live Borg instance to OnCheckpoint every CheckpointEvery accepts,
+// stamped with now(); nil when checkpointing is off.
+func (c *Config) checkpointHook(meters master.Meters, now func() float64, b *core.Borg) func(uint64) {
+	if c.CheckpointEvery == 0 || c.OnCheckpoint == nil {
+		return nil
 	}
-	m.sum += ta
-	m.n++
-	if m.capture {
-		m.samples = append(m.samples, ta)
+	return func(n uint64) {
+		if n%c.CheckpointEvery == 0 {
+			meters.Checkpoints.Inc()
+			c.OnCheckpoint(now(), b)
+		}
 	}
-	m.hist.Observe(ta)
-	m.adv.ObserveTA(ta)
-	return ta
-}
-
-func (m *taMeter) mean() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
 }

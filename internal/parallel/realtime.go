@@ -4,63 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"borgmoea/internal/advisor"
 	"borgmoea/internal/core"
 	"borgmoea/internal/master"
 	"borgmoea/internal/obs"
 	"borgmoea/internal/rng"
 )
-
-// rtAlg adapts the Borg core to the shared master state machine for
-// the wall-clock executor. Only the Accept+Suggest critical section is
-// timed (the paper's T_A): seeding Suggest calls during worker join
-// are protocol setup, not steady-state algorithm time.
-type rtAlg struct {
-	b      *core.Borg
-	meters master.Meters
-	events *obs.Recorder
-	adv    *advisor.Advisor
-	since  func() float64
-	taSum  float64
-	taN    uint64
-}
-
-func (a *rtAlg) Suggest() *core.Solution { return a.b.Suggest() }
-
-func (a *rtAlg) Accept(s *core.Solution) { a.b.Accept(s) }
-
-func (a *rtAlg) AcceptSuggest(s *core.Solution) *core.Solution {
-	t0 := time.Now()
-	a.b.Accept(s)
-	next := a.b.Suggest()
-	ta := time.Since(t0).Seconds()
-	a.taSum += ta
-	a.taN++
-	a.meters.TA.Observe(ta)
-	a.adv.ObserveTA(ta)
-	if a.events != nil {
-		a.events.Record(obs.Event{TS: a.since() - ta, Dur: ta, Kind: "algo", Actor: "master"})
-	}
-	return next
-}
-
-// StageAccept is the cheap half of a deferred accept (Config.DeferArchive).
-func (a *rtAlg) StageAccept(s *core.Solution) { a.b.StageAccept(s) }
-
-// ApplyStaged is the deferred archive insertion, timed as T_A after
-// the grant went out.
-func (a *rtAlg) ApplyStaged() {
-	t0 := time.Now()
-	a.b.ApplyStaged()
-	ta := time.Since(t0).Seconds()
-	a.taSum += ta
-	a.taN++
-	a.meters.TA.Observe(ta)
-	a.adv.ObserveTA(ta)
-	if a.events != nil {
-		a.events.Record(obs.Event{TS: a.since() - ta, Dur: ta, Kind: "algo", Actor: "master"})
-	}
-}
 
 // rtResult carries an evaluated item back to the master goroutine.
 type rtResult struct {
@@ -132,8 +80,9 @@ func RunAsyncRealtime(cfg Config) (*Result, error) {
 					tf *= cfg.StragglerFactor
 				}
 				time.Sleep(time.Duration(tf * float64(time.Second)))
-				meters.TF.Observe(tf)
+				meters.TF.ObserveExemplar(tf, item.Trace.Exemplar())
 				adv.ObserveTF(w+1, tf)
+				cfg.Trace.ObserveTF(item.ID, tf)
 				if events != nil {
 					events.Record(obs.Event{TS: t0, Dur: since() - t0, Kind: "eval", Actor: actor})
 				}
@@ -147,28 +96,23 @@ func RunAsyncRealtime(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Processors: cfg.Processors, Final: b}
-	alg := &rtAlg{b: b, meters: meters, events: events, adv: adv, since: since}
+	// T_A is the measured wall time of each critical section, seeding
+	// Suggests included (the DES rule); the journal gets one "algo"
+	// span per section.
+	mc := cfg.meterConfig(meters, nil, func(ta float64) {
+		events.Record(obs.Event{TS: since() - ta, Dur: ta, Kind: "algo", Actor: "master"})
+	})
+	mc.TA = nil
+	alg := master.NewMetered(b, mc)
 	mcfg := master.Config{
 		Budget:     cfg.Evaluations,
 		Policy:     master.EagerOffspring,
 		DeferApply: cfg.DeferArchive,
-		Alg:        alg,
 		Meters:     meters,
 		Log:        cfg.Protocol,
-		OnAccept: func(n uint64) {
-			if cfg.CheckpointEvery > 0 && n%cfg.CheckpointEvery == 0 && cfg.OnCheckpoint != nil {
-				meters.Checkpoints.Inc()
-				cfg.OnCheckpoint(since(), b)
-			}
-		},
+		OnAccept:   cfg.checkpointHook(meters, since, b),
 	}
-	if adv != nil {
-		mcfg.OnAcceptFrom = adv.ObserveAccept
-	}
-	if q := cfg.Quality; q != nil {
-		q.Attach(b)
-		mcfg.OnQuality = func(seq uint64, at float64) { q.Sample(seq, at) }
-	}
+	alg.Install(&mcfg)
 	m := master.NewCore(mcfg)
 	exec := func(acts []master.Action) {
 		for _, a := range acts {
@@ -203,9 +147,8 @@ func RunAsyncRealtime(cfg Config) (*Result, error) {
 
 	res.Evaluations = m.Completed()
 	res.Completed = true
-	if alg.taN > 0 {
-		res.MeanTA = alg.taSum / float64(alg.taN)
-	}
+	res.MeanTA = alg.Mean()
+	res.TASamples = alg.Samples()
 	res.MeanTF = cfg.TF.Mean()
 	res.MeanTC = 0 // channel transfers; not separately measurable here
 	return res, nil

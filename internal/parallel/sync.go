@@ -56,7 +56,7 @@ func RunSync(cfg Config) (*Result, error) {
 	res := &Result{Processors: cfg.Processors, Final: b}
 	meters := master.NewMeters(cfg.Metrics)
 	masterRng := rng.New(cfg.Seed ^ 0x73796e63) // "sync"
-	meter := &taMeter{dist: cfg.TA, rng: masterRng, capture: cfg.CaptureTimings, hist: meters.TA}
+	var alg *master.Metered
 	tcSum, tcN := 0.0, uint64(0)
 	sampleTC := func() float64 {
 		tc := cfg.TC.Sample(masterRng)
@@ -75,6 +75,16 @@ func RunSync(cfg Config) (*Result, error) {
 	completed := uint64(0)
 	var elapsedAtN float64
 	eng.Go("master", func(p *des.Process) {
+		// Each Suggest and each Accept is one T_A section, charged to
+		// the master node as an "algo" hold.
+		alg = master.NewMetered(b, master.MeterConfig{
+			TA:      cfg.TA,
+			Rng:     masterRng,
+			Charge:  func(ta float64) { node.HoldBusy(p, ta, "algo") },
+			Capture: cfg.CaptureTimings,
+			Hist:    meters.TA,
+		})
+		checkpoint := cfg.checkpointHook(meters, p.Now, b)
 		reg := master.NewRegistry()
 		for w := 1; w < cfg.Processors; w++ {
 			reg.Join(w)
@@ -101,10 +111,7 @@ func RunSync(cfg Config) (*Result, error) {
 					meters.Resub.Inc()
 					continue
 				}
-				var s *core.Solution
-				ta := meter.measure(func() { s = b.Suggest() })
-				node.HoldBusy(p, ta, "algo")
-				batch[i] = s
+				batch[i] = alg.Suggest()
 			}
 			// Scatter: one offspring per live worker.
 			for i, w := range alive {
@@ -114,7 +121,7 @@ func RunSync(cfg Config) (*Result, error) {
 			// The master evaluates one offspring itself.
 			core.EvaluateSolution(cfg.Problem, batch[0])
 			tf := cfg.TF.Sample(masterTFRng)
-			masterRec.record(tf)
+			masterRec.record(tf, 0)
 			node.HoldBusy(p, tf, "eval")
 			// Gather: the synchronization barrier, bounded by
 			// BarrierTimeout when set.
@@ -186,13 +193,11 @@ func RunSync(cfg Config) (*Result, error) {
 				if i > 0 && !got[alive[i-1]] {
 					continue
 				}
-				ta := meter.measure(func() { b.Accept(s) })
-				node.HoldBusy(p, ta, "algo")
+				alg.Accept(&master.Item{S: s})
 				completed++
 				meters.Evals.Inc()
-				if cfg.CheckpointEvery > 0 && completed%cfg.CheckpointEvery == 0 && cfg.OnCheckpoint != nil {
-					meters.Checkpoints.Inc()
-					cfg.OnCheckpoint(p.Now(), b)
+				if checkpoint != nil {
+					checkpoint(completed)
 				}
 				if completed >= cfg.Evaluations {
 					break
@@ -222,9 +227,9 @@ func RunSync(cfg Config) (*Result, error) {
 		}
 		res.MeanWorkerUtilization = sum / float64(cfg.Processors-1)
 	}
-	res.MeanTA = meter.mean()
-	res.TASamples = meter.samples
-	mergeTF(res, append([]*tfRecorder{masterRec}, recs...)...)
+	res.MeanTA = alg.Mean()
+	res.TASamples = alg.Samples()
+	res.MeanTF, res.TFSamples = mergeTF(append([]*tfRecorder{masterRec}, recs...)...)
 	if tcN > 0 {
 		res.MeanTC = tcSum / float64(tcN)
 	}

@@ -174,3 +174,37 @@ func BenchmarkAsyncTraced(b *testing.B) {
 		}
 	}
 }
+
+// TestRealtimeTrace: the wall-clock driver honors Config.Trace like
+// the other async drivers — every accepted evaluation yields one trace
+// whose children include the worker's T_F and the master's T_A.
+func TestRealtimeTrace(t *testing.T) {
+	const n = 200
+	cfg := testConfig(4, n)
+	cfg.TF = cfg.TC // keep sleeps tiny (6 µs)
+	cfg.Trace = obs.NewCollector(obs.CollectorConfig{RunID: cfg.Seed, Rate: 1})
+	res, err := RunAsyncRealtime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluations != n {
+		t.Fatalf("completed %d evaluations, want %d", res.Evaluations, n)
+	}
+	accepted := 0
+	for _, s := range cfg.Trace.Forest() {
+		if s.Name != "eval" || s.Status != "" {
+			continue // still in flight when the budget completed
+		}
+		accepted++
+		has := map[string]bool{}
+		for _, c := range s.Children {
+			has[c.Name] = true
+		}
+		if !has["ta"] || !has["tf"] {
+			t.Fatalf("trace of item %d lacks ta or tf: %v", s.Item, has)
+		}
+	}
+	if accepted != n {
+		t.Fatalf("%d accepted traces, want one per evaluation (%d)", accepted, n)
+	}
+}

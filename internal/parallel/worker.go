@@ -29,36 +29,17 @@ type tfRecorder struct {
 	adv     *advisor.Advisor // optional advisor feed (nil-safe; attributes by worker)
 }
 
-func (r *tfRecorder) record(tf float64) {
+// record folds in one T_F; a nonzero exemplar (a sampled evaluation's
+// trace id) is pinned to the histogram bucket the value lands in, so
+// /debug/metrics links a latency bucket to a concrete trace.
+func (r *tfRecorder) record(tf float64, exemplar uint64) {
 	r.sum += tf
 	r.n++
 	if r.capture {
 		r.samples = append(r.samples, tf)
 	}
-	r.hist.Observe(tf)
+	r.hist.ObserveExemplar(tf, exemplar)
 	r.adv.ObserveTF(r.worker, tf)
-}
-
-// recordTraced is record plus an exemplar: a sampled evaluation pins
-// its trace id to the T_F histogram bucket it lands in, so /debug/
-// metrics links a latency bucket to a concrete trace.
-func (r *tfRecorder) recordTraced(tf float64, item *master.Item) {
-	r.sum += tf
-	r.n++
-	if r.capture {
-		r.samples = append(r.samples, tf)
-	}
-	r.hist.ObserveExemplar(tf, sampledTraceID(item))
-	r.adv.ObserveTF(r.worker, tf)
-}
-
-// sampledTraceID returns the item's trace id when the evaluation is
-// sampled, else 0 (ObserveExemplar treats 0 as "no exemplar").
-func sampledTraceID(item *master.Item) uint64 {
-	if item.Trace.Sampled() {
-		return item.Trace.TraceID
-	}
-	return 0
 }
 
 // newRecorders returns one recorder per worker rank 1..P−1.
@@ -71,18 +52,19 @@ func newRecorders(cfg *Config) []*tfRecorder {
 	return recs
 }
 
-// mergeTF folds recorders into the result in the caller's (rank)
-// order, making TFSamples deterministic.
-func mergeTF(res *Result, recs ...*tfRecorder) {
+// mergeTF folds recorders in the caller's (rank) order, making the
+// samples deterministic, and returns the mean T_F and the samples.
+func mergeTF(recs ...*tfRecorder) (mean float64, samples []float64) {
 	sum, n := 0.0, uint64(0)
 	for _, r := range recs {
 		sum += r.sum
 		n += r.n
-		res.TFSamples = append(res.TFSamples, r.samples...)
+		samples = append(samples, r.samples...)
 	}
 	if n > 0 {
-		res.MeanTF = sum / float64(n)
+		mean = sum / float64(n)
 	}
+	return mean, samples
 }
 
 // startWorkers launches the P−1 worker processes shared by the async
@@ -112,7 +94,7 @@ func startWorkers(eng *des.Engine, cl *cluster.Cluster, cfg *Config, recs []*tfR
 				if straggler {
 					tf *= cfg.StragglerFactor
 				}
-				rec.recordTraced(tf, item)
+				rec.record(tf, item.Trace.Exemplar())
 				cfg.Trace.ObserveTF(item.ID, tf)
 				node.HoldBusy(p, tf, "eval")
 				if node.Failed() || node.Epoch() != epoch {
