@@ -289,9 +289,9 @@ func (a *Advisor) ObserveQueueWait(sec float64) {
 	a.mu.Unlock()
 }
 
-// ObserveRTT records one heartbeat round-trip time in seconds. When no
-// direct T_C measurements exist (the distributed driver cannot see
-// one-way latency), the fit falls back to RTT/2.
+// ObserveRTT records one heartbeat round-trip time in seconds. Until
+// a direct T_C measurement exists (a TCP master measures each grant's
+// send time), the fit falls back to RTT/2.
 func (a *Advisor) ObserveRTT(sec float64) {
 	if a == nil {
 		return

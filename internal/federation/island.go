@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"borgmoea/internal/advisor"
@@ -42,34 +41,6 @@ type islandResult struct {
 	peak     int
 }
 
-type islandEventKind uint8
-
-const (
-	iJoin islandEventKind = iota
-	iMsg
-	iDead
-	iMigrant
-)
-
-// islandEvent is one input to the island master loop: worker transport
-// events exactly as in the distributed driver, plus migrant frames
-// arriving on the peer listener.
-type islandEvent struct {
-	kind islandEventKind
-	sess *islandSession
-	msg  wire.Message
-	mig  *wire.Migrant
-	err  error
-}
-
-// islandSession is one live worker connection, as in the distributed
-// driver.
-type islandSession struct {
-	id   uint64
-	conn *wire.Conn
-	gone bool
-}
-
 // dialPeer dials the ring successor's peer listener, retrying while the
 // rest of the federation is still binding (Run binds every listener
 // first, so in practice the first attempt succeeds).
@@ -101,71 +72,28 @@ func runIsland(ic islandContext) (islandResult, error) {
 
 	ic.adv.Configure(0, cfg.Evaluations)
 
-	events := make(chan islandEvent, 256)
-	done := make(chan struct{})
-	defer close(done)
-	push := func(e islandEvent) {
-		select {
-		case events <- e:
-		case <-done:
-		}
-	}
-
 	connOpt := cfg.Conn
 	if connOpt.OnRTT == nil {
-		// Heartbeat RTTs stand in for T_C, as in the distributed driver.
+		// Heartbeat RTTs stand in for T_C until grants are measured, as
+		// in the distributed driver.
 		connOpt.OnRTT = ic.adv.ObserveRTT
 	}
-
-	welcome := wire.Welcome{
-		Problem:         cfg.Problem.Name(),
-		NumVars:         uint32(cfg.Problem.NumVars()),
-		NumObjs:         uint32(cfg.Problem.NumObjs()),
-		HeartbeatMillis: uint32(connOpt.Heartbeat.Milliseconds()),
-	}
-
-	// Worker accept loop: identical protocol to the distributed driver —
-	// handshake off the main loop, then feed messages as events.
-	var nextWorkerID atomic.Uint64
-	go func() {
-		for {
-			nc, err := ic.workerLn.Accept()
-			if err != nil {
-				return // listener closed: run over
-			}
-			go func() {
-				var id uint64
-				conn, _, err := wire.ServerHandshake(nc, connOpt, func(h wire.Hello) (*wire.Welcome, error) {
-					w := welcome
-					if h.WorkerID != 0 {
-						w.WorkerID = h.WorkerID
-					} else {
-						w.WorkerID = nextWorkerID.Add(1)
-					}
-					id = w.WorkerID
-					return &w, nil
-				})
-				if err != nil {
-					return
-				}
-				conn.StartHeartbeat(0)
-				s := &islandSession{id: id, conn: conn}
-				push(islandEvent{kind: iJoin, sess: s})
-				for {
-					m, err := conn.Recv()
-					if err != nil {
-						push(islandEvent{kind: iDead, sess: s, err: err})
-						return
-					}
-					push(islandEvent{kind: iMsg, sess: s, msg: m})
-				}
-			}()
-		}
-	}()
+	pool := wire.NewPool(wire.Welcome{
+		Problem: cfg.Problem.Name(),
+		NumVars: uint32(cfg.Problem.NumVars()),
+		NumObjs: uint32(cfg.Problem.NumObjs()),
+	}, connOpt)
+	pool.Start(ic.workerLn)
+	defer pool.Close()
 
 	// Peer accept loop: raw migrant frames from the ring predecessor —
 	// no handshake, no heartbeat, just length-prefixed CRC-checked
 	// frames until the predecessor closes.
+	// Buffered so a peer reader seldom waits on a busy loop; epochs
+	// that arrive early wait in pendingMig.
+	migrants := make(chan *wire.Migrant, 16)
+	done := make(chan struct{})
+	defer close(done)
 	var peerMu sync.Mutex
 	var peerConns []net.Conn
 	go func() {
@@ -187,7 +115,11 @@ func runIsland(ic islandContext) (islandResult, error) {
 						return
 					}
 					if mg, ok := m.(*wire.Migrant); ok {
-						push(islandEvent{kind: iMigrant, mig: mg})
+						select {
+						case migrants <- mg:
+						case <-done:
+							return
+						}
 					}
 				}
 			}()
@@ -260,57 +192,28 @@ func runIsland(ic islandContext) (islandResult, error) {
 	alg.Install(&mcfg)
 	m := master.NewCore(mcfg)
 
-	byID := make(map[uint64]*islandSession)
-	drop := func(s *islandSession, why error) {
-		if s.gone {
-			return
-		}
-		s.gone = true
-		s.conn.Close()
-		if byID[s.id] == s {
-			delete(byID, s.id)
-		}
-		ic.adv.SetLive(len(byID))
-		cfg.logf("federation: island %d worker %d gone: %v", ic.isl, s.id, why)
+	// gone reports a closed session; the state machine hears about the
+	// death separately (EvGone, or the retire inside a replacing EvJoin).
+	gone := func(id uint64, why error) {
+		ic.adv.SetLive(pool.Live())
+		cfg.logf("federation: island %d worker %d gone: %v", ic.isl, id, why)
 	}
-	var exec func(acts []master.Action)
-	exec = func(acts []master.Action) {
-		// Handle reuses its action slice; copy before executing, because
-		// a failed grant send re-enters Handle mid-iteration.
-		acts = append([]master.Action(nil), acts...)
+	// A failed send surfaces later as the session's PoolDead, so
+	// executing actions never re-enters Handle.
+	exec := func(acts []master.Action) {
 		for _, a := range acts {
 			switch a.Kind {
 			case master.ActGrant:
-				s := byID[uint64(a.Worker)]
-				if s == nil || s.gone {
-					continue
-				}
-				ev := &wire.Evaluate{
-					Lease:    a.Item.ID,
-					SolID:    a.Item.S.ID,
-					Operator: int32(a.Item.S.Operator),
-					Vars:     a.Item.S.Vars,
-					Trace:    a.Item.Trace,
-				}
-				sendStart := time.Now()
-				if err := s.conn.Send(ev); err != nil {
-					drop(s, err)
-					exec(m.Handle(master.Event{Kind: master.EvGone, Worker: a.Worker, At: since()}))
-					continue
-				}
-				if ic.trace != nil {
+				if tc, err := pool.Grant(uint64(a.Worker), wire.EvaluateItem(a.Item)); err == nil {
 					// The measured send time is the direct T_C sample: it
-					// feeds both the trace (per-evaluation attribution)
-					// and the advisor fit, so borgtrace's per-term means
-					// and /debug/scaling agree by construction.
-					tc := time.Since(sendStart).Seconds()
-					ic.trace.ObserveTCSend(a.Item.ID, tc)
+					// feeds both the advisor fit and the trace, so
+					// borgtrace's per-term means and /debug/scaling
+					// agree by construction.
 					ic.adv.ObserveTC(tc)
+					ic.trace.ObserveTCSend(a.Item.ID, tc)
 				}
 			case master.ActStop:
-				if s := byID[uint64(a.Worker)]; s != nil && !s.gone {
-					_ = s.conn.Send(wire.Stop{})
-				}
+				_ = pool.Send(uint64(a.Worker), wire.Stop{})
 			case master.ActComplete:
 				elapsedAt = since()
 				ic.log.SetElapsed(elapsedAt)
@@ -321,7 +224,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 	pred := (ic.isl - 1 + cfg.Islands) % cfg.Islands
 	migRng := NewMigrationRNG(cfg.Seed, ic.isl)
 	pendingMig := make(map[uint64]*wire.Migrant)
-	var backlog []islandEvent
+	var backlog []wire.PoolEvent
 	var lastEpoch uint64
 	var migBuf []byte // frame scratch, reused per send
 	var deltaSeq uint64
@@ -348,14 +251,12 @@ func runIsland(ic islandContext) (islandResult, error) {
 		defer timeout.Stop()
 		for {
 			select {
-			case e := <-events:
-				if e.kind == iMigrant {
-					if e.mig.Epoch == epoch {
-						return e.mig, nil
-					}
-					pendingMig[e.mig.Epoch] = e.mig
-					continue
+			case mg := <-migrants:
+				if mg.Epoch == epoch {
+					return mg, nil
 				}
+				pendingMig[mg.Epoch] = mg
+			case e := <-pool.Events():
 				backlog = append(backlog, e)
 			case <-timeout.C:
 				return nil, fmt.Errorf("migration epoch %d: no migrant from island %d within %v", epoch, pred, cfg.migrationTimeout())
@@ -411,27 +312,24 @@ func runIsland(ic islandContext) (islandResult, error) {
 		}
 	}
 
-	var tickC <-chan time.Time
-	if cfg.LeaseTimeout > 0 {
-		interval := cfg.LeaseTimeout / 4
-		if interval < 10*time.Millisecond {
-			interval = 10 * time.Millisecond
-		}
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		tickC = ticker.C
-	}
+	tickC, stopTick := wire.LeaseTicker(cfg.LeaseTimeout)
+	defer stopTick()
 	wall := time.NewTimer(cfg.wallLimit())
 	defer wall.Stop()
 
 	for !m.Done() && migErr == nil {
-		var e islandEvent
+		var e wire.PoolEvent
 		if len(backlog) > 0 {
 			e = backlog[0]
 			backlog = backlog[1:]
 		} else {
 			select {
-			case e = <-events:
+			case e = <-pool.Events():
+			case mg := <-migrants:
+				// A migrant outside a boundary wait: the predecessor
+				// runs ahead; hold its frame for the epoch we will reach.
+				pendingMig[mg.Epoch] = mg
+				continue
 			case <-tickC:
 				exec(m.Handle(master.Event{Kind: master.EvTick, At: since()}))
 				continue
@@ -442,52 +340,42 @@ func runIsland(ic islandContext) (islandResult, error) {
 				break
 			}
 		}
-		switch e.kind {
-		case iJoin:
-			if old := byID[e.sess.id]; old != nil && old != e.sess {
-				drop(old, fmt.Errorf("replaced by reconnect"))
+		s := e.Session
+		switch e.Kind {
+		case wire.PoolJoin:
+			if old := pool.Admit(s); old != nil {
+				gone(old.ID, fmt.Errorf("replaced by reconnect"))
 			}
-			byID[e.sess.id] = e.sess
-			ic.adv.SetLive(len(byID))
-			cfg.logf("federation: island %d worker %d joined (%d live)", ic.isl, e.sess.id, len(byID))
-			exec(m.Handle(master.Event{Kind: master.EvJoin, Worker: int(e.sess.id), At: since()}))
-		case iDead:
-			if e.sess.gone {
+			ic.adv.SetLive(pool.Live())
+			cfg.logf("federation: island %d worker %d joined (%d live)", ic.isl, s.ID, pool.Live())
+			exec(m.Handle(master.Event{Kind: master.EvJoin, Worker: int(s.ID), At: since()}))
+		case wire.PoolDead:
+			if !pool.Drop(s) {
 				break
 			}
-			drop(e.sess, e.err)
-			exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(e.sess.id), At: since()}))
-		case iMigrant:
-			// A migrant outside a boundary wait: the predecessor runs
-			// ahead; hold its frame for the epoch we will reach.
-			pendingMig[e.mig.Epoch] = e.mig
-		case iMsg:
-			s := e.sess
-			if s.gone {
-				break
-			}
-			msg, ok := e.msg.(*wire.Result)
-			if !ok {
+			gone(s.ID, e.Err)
+			exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(s.ID), At: since()}))
+		case wire.PoolMsg:
+			msg, ok := e.Msg.(*wire.Result)
+			if s.Gone() || !ok {
 				break
 			}
 			var accepted *core.Solution
-			if worker, item, live := m.Lease(msg.Lease); live && worker == int(s.id) {
-				if len(msg.Objs) != cfg.Problem.NumObjs() {
-					drop(s, fmt.Errorf("result with %d objectives, want %d", len(msg.Objs), cfg.Problem.NumObjs()))
-					exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(s.id), At: since()}))
+			if worker, item, live := m.Lease(msg.Lease); live && worker == int(s.ID) {
+				evalSec, err := msg.Fill(item, cfg.Problem.NumObjs())
+				if err != nil {
+					pool.Drop(s)
+					gone(s.ID, err)
+					exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(s.ID), At: since()}))
 					break
 				}
-				sol := item.S
-				sol.Objs = msg.Objs
-				sol.Constrs = msg.Constrs
-				accepted = sol
-				evalSec := float64(msg.EvalNanos) / 1e9
+				accepted = item.S
 				ic.meters.TF.ObserveExemplar(evalSec, item.Trace.Exemplar())
-				ic.adv.ObserveTF(int(s.id), evalSec)
+				ic.adv.ObserveTF(int(s.ID), evalSec)
 				ic.trace.ObserveTF(item.ID, evalSec)
 			}
 			prev := m.Completed()
-			exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.id), Item: msg.Lease, At: since()}))
+			exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.ID), Item: msg.Lease, At: since()}))
 			if n := m.Completed(); n > prev {
 				afterAccept(n, accepted)
 				// Quality cadence: the trigger detours through the master
@@ -502,12 +390,9 @@ func runIsland(ic islandContext) (islandResult, error) {
 
 	// Tear down this island's transports. Stop is written before the
 	// close so healthy workers exit instead of reconnecting.
-	ic.workerLn.Close()
+	pool.SendAll(wire.Stop{})
+	pool.Close()
 	ic.peerLn.Close()
-	for _, s := range byID {
-		_ = s.conn.Send(wire.Stop{})
-		s.conn.Close()
-	}
 	peerMu.Lock()
 	for _, nc := range peerConns {
 		nc.Close()

@@ -152,30 +152,14 @@ type grantRef struct {
 	item uint64
 }
 
-// fleetWorker is one borgd session. A worker evaluates serially, but
-// probe grants to a suspect worker can pipeline, so outstanding wire
-// leases are a small map, not a single slot.
+// fleetWorker is the scheduler's bookkeeping for one live borgd
+// session, keyed by worker id (the session itself lives in the pool).
+// A worker evaluates serially, but probe grants to a suspect worker
+// can pipeline, so outstanding wire leases are a small map, not a
+// single slot.
 type fleetWorker struct {
-	id     uint64
-	conn   *wire.Conn
-	gone   bool
 	job    *job // current assignment (nil = unassigned)
 	leases map[uint64]grantRef
-}
-
-type fleetEventKind uint8
-
-const (
-	fleetJoin fleetEventKind = iota
-	fleetMsg
-	fleetDead
-)
-
-type fleetEvent struct {
-	kind fleetEventKind
-	w    *fleetWorker
-	msg  wire.Message
-	err  error
 }
 
 // Scheduler owns the shared borgd fleet and multiplexes every
@@ -186,9 +170,9 @@ type fleetEvent struct {
 type Scheduler struct {
 	cfg      Config
 	ln       net.Listener
+	pool     *wire.Pool
 	leaseSec float64
 
-	events chan fleetEvent
 	cmds   chan func()
 	quit   chan struct{}
 	done   chan struct{}
@@ -207,8 +191,7 @@ type Scheduler struct {
 	order         []string // submission order
 	queue         []*job
 	active        int
-	byID          map[uint64]*fleetWorker
-	nextWID       atomic.Uint64
+	fleet         map[uint64]*fleetWorker // live workers by id
 	nextWireLease uint64
 	nextJob       uint64
 	start         time.Time
@@ -243,10 +226,12 @@ func New(cfg Config) (*Scheduler, error) {
 		cfg:      cfg,
 		ln:       ln,
 		leaseSec: cfg.LeaseTimeout.Seconds(),
-		events:   make(chan fleetEvent, 256),
-		cmds:     make(chan func()),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
+		// One multi-problem session per borgd: each grant names its own
+		// problem, so one fleet serves every job.
+		pool: wire.NewPool(wire.Welcome{Problem: wire.MultiProblem}, cfg.Conn),
+		cmds: make(chan func()),
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
 
 		mSubmitted:    reg.Counter(MetricSubmitted),
 		mRejected:     reg.Counter(MetricRejected),
@@ -262,16 +247,18 @@ func New(cfg Config) (*Scheduler, error) {
 		hFirstResult:  reg.Histogram(MetricFirstResult, nil),
 
 		jobs:  make(map[string]*job),
-		byID:  make(map[uint64]*fleetWorker),
+		fleet: make(map[uint64]*fleetWorker),
 		start: time.Now(),
 	}
+	// Resume before accepting, so fresh worker ids already clear every
+	// id in the restored logs.
 	if cfg.StateDir != "" {
 		if err := s.resume(); err != nil {
 			ln.Close()
 			return nil, err
 		}
 	}
-	go s.acceptLoop()
+	s.pool.Start(ln)
 	go s.loop()
 	return s, nil
 }
@@ -302,10 +289,10 @@ func (s *Scheduler) now() float64 {
 // running jobs resume from StateDir on the next New.
 func (s *Scheduler) Close() error {
 	s.draining.Store(true)
-	s.ln.Close()
 	s.do(func() { s.shutdown() }) //nolint:errcheck // best effort once closed
 	s.stopIt.Do(func() { close(s.quit) })
 	<-s.done
+	s.pool.Close()
 	return nil
 }
 
@@ -325,80 +312,19 @@ func (s *Scheduler) do(fn func()) error {
 	}
 }
 
-// --- fleet transport ------------------------------------------------
-
-// acceptLoop admits borgd workers. The handshake announces a
-// multi-problem session (wire.MultiProblem), so each grant names its
-// own problem and one fleet serves every job.
-func (s *Scheduler) acceptLoop() {
-	for {
-		nc, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed: scheduler stopping
-		}
-		go func() {
-			var id uint64
-			conn, _, err := wire.ServerHandshake(nc, s.cfg.Conn, func(h wire.Hello) (*wire.Welcome, error) {
-				if h.WorkerID != 0 {
-					id = h.WorkerID // reconnect keeps its identity
-					// Keep fresh assignments above every announced id.
-					for {
-						cur := s.nextWID.Load()
-						if cur >= id || s.nextWID.CompareAndSwap(cur, id) {
-							break
-						}
-					}
-				} else {
-					id = s.nextWID.Add(1)
-				}
-				return &wire.Welcome{
-					WorkerID:        id,
-					Problem:         wire.MultiProblem,
-					HeartbeatMillis: uint32(s.cfg.Conn.Heartbeat.Milliseconds()),
-				}, nil
-			})
-			if err != nil {
-				return
-			}
-			conn.StartHeartbeat(0)
-			w := &fleetWorker{id: id, conn: conn, leases: make(map[uint64]grantRef)}
-			s.push(fleetEvent{kind: fleetJoin, w: w})
-			for {
-				msg, err := conn.Recv()
-				if err != nil {
-					s.push(fleetEvent{kind: fleetDead, w: w, err: err})
-					return
-				}
-				s.push(fleetEvent{kind: fleetMsg, w: w, msg: msg})
-			}
-		}()
-	}
-}
-
-func (s *Scheduler) push(e fleetEvent) {
-	select {
-	case s.events <- e:
-	case <-s.done:
-	}
-}
-
 // --- event loop -----------------------------------------------------
 
 func (s *Scheduler) loop() {
 	defer close(s.done)
-	tickEvery := s.cfg.LeaseTimeout / 4
-	if tickEvery < 10*time.Millisecond {
-		tickEvery = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(tickEvery)
-	defer tick.Stop()
+	tickC, stopTick := wire.LeaseTicker(s.cfg.LeaseTimeout)
+	defer stopTick()
 	for {
 		select {
-		case e := <-s.events:
+		case e := <-s.pool.Events():
 			s.onFleet(e)
 		case fn := <-s.cmds:
 			fn()
-		case <-tick.C:
+		case <-tickC:
 			s.onTick()
 		case <-s.quit:
 			return
@@ -410,55 +336,41 @@ func (s *Scheduler) loop() {
 func (s *Scheduler) updateGauges() {
 	s.gActive.Set(float64(s.active))
 	s.gQueued.Set(float64(len(s.queue)))
-	n := 0
-	for _, w := range s.byID {
-		if !w.gone {
-			n++
-		}
-	}
-	s.gWorkers.Set(float64(n))
+	s.gWorkers.Set(float64(s.pool.Live()))
 }
 
-func (s *Scheduler) onFleet(e fleetEvent) {
-	switch e.kind {
-	case fleetJoin:
-		if old := s.byID[e.w.id]; old != nil && old != e.w {
+func (s *Scheduler) onFleet(e wire.PoolEvent) {
+	id := e.Session.ID
+	switch e.Kind {
+	case wire.PoolJoin:
+		if s.pool.Admit(e.Session) != nil {
 			// The fleet replaced this identity (borgd redial after a
 			// half-dead link); retire the old session first.
-			s.dropWorker(old)
+			s.retire(id)
 		}
-		s.byID[e.w.id] = e.w
-		s.cfg.logf("jobs: worker %d joined (%d live)", e.w.id, len(s.byID))
-		s.assign(e.w)
-	case fleetDead:
-		if s.byID[e.w.id] == e.w {
-			s.cfg.logf("jobs: worker %d lost: %v", e.w.id, e.err)
+		s.fleet[id] = &fleetWorker{leases: make(map[uint64]grantRef)}
+		s.cfg.logf("jobs: worker %d joined (%d live)", id, s.pool.Live())
+		s.assign(id)
+	case wire.PoolDead:
+		if s.pool.Drop(e.Session) {
+			s.cfg.logf("jobs: worker %d lost: %v", id, e.Err)
+			s.retire(id)
 		}
-		s.dropWorker(e.w)
-	case fleetMsg:
-		if e.w.gone {
-			return
+	case wire.PoolMsg:
+		if msg, ok := e.Msg.(*wire.Result); ok && !e.Session.Gone() {
+			s.onResult(id, msg)
 		}
-		msg, ok := e.msg.(*wire.Result)
-		if !ok {
-			return
-		}
-		s.onResult(e.w, msg)
 	}
 }
 
-// dropWorker retires a dead session: every job holding one of its
-// leases sees EvGone (resubmitting the work), as does its current
-// assignment.
-func (s *Scheduler) dropWorker(w *fleetWorker) {
-	if w.gone {
+// retire forgets a dead worker: every job holding one of its leases
+// sees EvGone (resubmitting the work), as does its current assignment.
+func (s *Scheduler) retire(id uint64) {
+	w := s.fleet[id]
+	if w == nil {
 		return
 	}
-	w.gone = true
-	w.conn.Close()
-	if s.byID[w.id] == w {
-		delete(s.byID, w.id)
-	}
+	delete(s.fleet, id)
 	goneIn := make(map[*job]struct{})
 	if w.job != nil {
 		goneIn[w.job] = struct{}{}
@@ -466,38 +378,27 @@ func (s *Scheduler) dropWorker(w *fleetWorker) {
 	for _, ref := range w.leases {
 		goneIn[ref.job] = struct{}{}
 	}
-	w.leases = nil
 	for j := range goneIn {
-		s.detachGone(w, j)
+		s.detach(id, j, master.EvGone)
 	}
-	w.job = nil
 }
 
-// detachGone removes w from j and declares it dead to j's core, which
-// resubmits any live lease it held there.
-func (s *Scheduler) detachGone(w *fleetWorker, j *job) {
-	if _, ok := j.workers[w.id]; ok {
-		delete(j.workers, w.id)
+// detach withdraws worker id from j with the given event: EvGone
+// declares it dead (j's core resubmits any live lease it held there),
+// EvLeave withdraws a parked worker the scheduler lends to another
+// job.
+func (s *Scheduler) detach(id uint64, j *job, kind master.EventKind) {
+	if _, ok := j.workers[id]; ok {
+		delete(j.workers, id)
 		j.adv.SetLive(len(j.workers))
 	}
 	if j.state == StateRunning && !j.mcore.Done() {
-		s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvGone, Worker: int(w.id), At: s.now()}))
+		s.exec(j, j.mcore.Handle(master.Event{Kind: kind, Worker: int(id), At: s.now()}))
 	}
 }
 
-// detach gracefully withdraws a parked worker from j (EvLeave) when
-// the scheduler lends it to another job.
-func (s *Scheduler) detach(w *fleetWorker, j *job) {
-	if _, ok := j.workers[w.id]; ok {
-		delete(j.workers, w.id)
-		j.adv.SetLive(len(j.workers))
-	}
-	if j.state == StateRunning && !j.mcore.Done() {
-		s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvLeave, Worker: int(w.id), At: s.now()}))
-	}
-}
-
-func (s *Scheduler) onResult(w *fleetWorker, msg *wire.Result) {
+func (s *Scheduler) onResult(id uint64, msg *wire.Result) {
+	w := s.fleet[id]
 	ref, ok := w.leases[msg.Lease]
 	if !ok {
 		return // lease of a job that was cancelled mid-flight, or noise
@@ -507,7 +408,7 @@ func (s *Scheduler) onResult(w *fleetWorker, msg *wire.Result) {
 	if j.state != StateRunning || j.mcore.Done() {
 		// The job ended while this evaluation was in flight; the
 		// result has nowhere to go.
-		s.assign(w)
+		s.assign(id)
 		return
 	}
 	if len(msg.Objs) != j.problem.NumObjs() {
@@ -515,34 +416,32 @@ func (s *Scheduler) onResult(w *fleetWorker, msg *wire.Result) {
 		// registry, dimension drift): an empty Result fails the lease,
 		// not the session. Resubmit the work and never offer this
 		// worker the job again.
-		j.failed[w.id] = struct{}{}
+		j.failed[id] = struct{}{}
 		s.mEvalFailures.Inc()
-		s.cfg.logf("jobs: worker %d cannot evaluate %s for %s", w.id, j.problem.Name(), j.id)
-		s.detachGone(w, j)
+		s.cfg.logf("jobs: worker %d cannot evaluate %s for %s", id, j.problem.Name(), j.id)
+		s.detach(id, j, master.EvGone)
 		if w.job == j {
 			w.job = nil
 		}
-		s.assign(w)
+		s.assign(id)
 		return
 	}
-	if worker, item, live := j.mcore.Lease(ref.item); live && worker == int(w.id) {
+	if worker, item, live := j.mcore.Lease(ref.item); live && worker == int(id) {
 		item.S.Objs = msg.Objs
 		item.S.Constrs = msg.Constrs
 		sec := float64(msg.EvalNanos) / 1e9
-		j.adv.ObserveTF(int(w.id), sec)
+		j.adv.ObserveTF(int(id), sec)
 		j.trace.ObserveTF(ref.item, sec)
 		s.hEval.ObserveExemplar(sec, item.Trace.Exemplar())
 	}
-	s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvResult, Worker: int(w.id), Item: ref.item, At: s.now()}))
+	s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvResult, Worker: int(id), Item: ref.item, At: s.now()}))
 	// Quality cadence: the trigger detours through the job's core so
 	// the sample point lands in its BMEL log (a restored job replays
 	// its quality timeline too).
 	if q := j.quality; q != nil && j.state == StateRunning && !j.mcore.Done() && q.Due(j.mcore.Completed(), s.now()) {
 		s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvQuality, Item: q.NextSeq(), At: s.now()}))
 	}
-	if !w.gone && len(w.leases) == 0 {
-		s.assign(w)
-	}
+	s.assign(id)
 }
 
 func (s *Scheduler) onTick() {
@@ -559,34 +458,35 @@ func (s *Scheduler) onTick() {
 }
 
 func (s *Scheduler) sweepAssign() {
-	ids := make([]uint64, 0, len(s.byID))
-	for id := range s.byID {
+	ids := make([]uint64, 0, len(s.fleet))
+	for id := range s.fleet {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	for _, id := range ids {
-		s.assign(s.byID[id])
+		s.assign(id)
 	}
 }
 
-// assign offers an idle worker to the runnable job with the lowest
+// assign offers an idle live worker to the runnable job with the lowest
 // stride pass — the fair-share decision point. Ties break by job id,
 // so equal-priority jobs round-robin deterministically. The chosen
 // job's core hears EvReady (worker already its) or EvJoin (worker
 // migrates, with a graceful EvLeave to its previous job); both are
 // ordinary events in the job's BMEL log, so replay reproduces every
 // fair-share decision.
-func (s *Scheduler) assign(w *fleetWorker) {
-	if w == nil || w.gone || len(w.leases) > 0 {
+func (s *Scheduler) assign(id uint64) {
+	w := s.fleet[id]
+	if w == nil || len(w.leases) > 0 {
 		return
 	}
 	var best *job
-	for _, id := range s.order {
-		j := s.jobs[id]
+	for _, jid := range s.order {
+		j := s.jobs[jid]
 		if !j.wantWork() {
 			continue
 		}
-		if _, bad := j.failed[w.id]; bad {
+		if _, bad := j.failed[id]; bad {
 			continue
 		}
 		if best == nil || j.pass < best.pass {
@@ -598,16 +498,16 @@ func (s *Scheduler) assign(w *fleetWorker) {
 	}
 	best.pass += best.stride
 	if w.job == best {
-		s.exec(best, best.mcore.Handle(master.Event{Kind: master.EvReady, Worker: int(w.id), At: s.now()}))
+		s.exec(best, best.mcore.Handle(master.Event{Kind: master.EvReady, Worker: int(id), At: s.now()}))
 		return
 	}
 	if w.job != nil {
-		s.detach(w, w.job)
+		s.detach(id, w.job, master.EvLeave)
 	}
 	w.job = best
-	best.workers[w.id] = struct{}{}
+	best.workers[id] = struct{}{}
 	best.adv.SetLive(len(best.workers))
-	s.exec(best, best.mcore.Handle(master.Event{Kind: master.EvJoin, Worker: int(w.id), At: s.now()}))
+	s.exec(best, best.mcore.Handle(master.Event{Kind: master.EvJoin, Worker: int(id), At: s.now()}))
 }
 
 // exec carries out a core's actions on the fleet. Grants become wire
@@ -616,41 +516,34 @@ func (s *Scheduler) assign(w *fleetWorker) {
 // back to the pool — the fleet is shared, so a completed job never
 // stops a worker process.
 func (s *Scheduler) exec(j *job, acts []master.Action) {
-	// Copy: a failed send re-enters Handle (EvGone) which recycles the
-	// core's action buffer.
+	// Copy: releasing a worker (ActStop → assign) can re-enter this
+	// core's Handle, which recycles its action buffer.
 	acts = append([]master.Action(nil), acts...)
 	for _, a := range acts {
 		switch a.Kind {
 		case master.ActGrant:
-			w := s.byID[uint64(a.Worker)]
-			if w == nil || w.gone || w.job != j {
+			id := uint64(a.Worker)
+			w := s.fleet[id]
+			if w == nil || w.job != j {
 				continue // stale grant to a worker the fleet lost
 			}
 			s.nextWireLease++
-			wl := s.nextWireLease
-			w.leases[wl] = grantRef{job: j, item: a.Item.ID}
-			ev := &wire.Evaluate{
-				Lease:    wl,
-				SolID:    a.Item.S.ID,
-				Operator: int32(a.Item.S.Operator),
-				Problem:  j.problem.Name(),
-				Vars:     a.Item.S.Vars,
-				Trace:    a.Item.Trace,
+			ev := wire.EvaluateItem(a.Item)
+			ev.Lease = s.nextWireLease
+			ev.Problem = j.problem.Name()
+			w.leases[ev.Lease] = grantRef{job: j, item: a.Item.ID}
+			// A failed send surfaces later as the session's PoolDead,
+			// which retires the worker and resubmits this lease.
+			if tc, err := s.pool.Grant(id, ev); err == nil {
+				j.adv.ObserveTC(tc)
+				j.trace.ObserveTCSend(a.Item.ID, tc)
 			}
-			sendStart := time.Now()
-			if err := w.conn.Send(ev); err != nil {
-				s.cfg.logf("jobs: send to worker %d failed: %v", a.Worker, err)
-				s.dropWorker(w)
-				continue
-			}
-			j.trace.ObserveTCSend(a.Item.ID, time.Since(sendStart).Seconds())
 		case master.ActComplete:
 			s.finishJob(j)
 		case master.ActStop:
 			// Release, don't stop: the worker belongs to the fleet.
-			w := s.byID[uint64(a.Worker)]
-			if w != nil && !w.gone && w.job == j && len(w.leases) == 0 {
-				s.assign(w)
+			if w := s.fleet[uint64(a.Worker)]; w != nil && w.job == j {
+				s.assign(uint64(a.Worker))
 			}
 		}
 	}
@@ -889,7 +782,7 @@ func (s *Scheduler) cancel(id string) error {
 		// cancelled job; either way they get reassigned. Clear the
 		// assignment now so idle ones move immediately.
 		for wid := range j.workers {
-			if w := s.byID[wid]; w != nil && w.job == j {
+			if w := s.fleet[wid]; w != nil && w.job == j {
 				w.job = nil
 			}
 		}
@@ -911,9 +804,9 @@ func (s *Scheduler) cancel(id string) error {
 	return nil
 }
 
-// shutdown runs on the event loop during Close: final checkpoints,
-// then every fleet connection drops (no Stop — workers redial the next
-// scheduler).
+// shutdown runs on the event loop during Close: final checkpoints.
+// Close then drops every fleet connection (no Stop — workers redial
+// the next scheduler).
 func (s *Scheduler) shutdown() {
 	for _, id := range s.order {
 		j := s.jobs[id]
@@ -923,9 +816,6 @@ func (s *Scheduler) shutdown() {
 			}
 			j.ck.close()
 		}
-	}
-	for _, w := range s.byID {
-		w.conn.Close()
 	}
 }
 

@@ -3,7 +3,6 @@ package parallel
 import (
 	"fmt"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"borgmoea/internal/core"
@@ -46,31 +45,6 @@ func (d *DistributedConfig) logf(format string, args ...any) {
 	if d.Logf != nil {
 		d.Logf(format, args...)
 	}
-}
-
-// distSession is one live worker connection as the master sees it —
-// pure transport state. Protocol state (lease, lifecycle, idle queue)
-// lives in the shared state machine; the session only maps a worker id
-// to the conn that currently speaks for it.
-type distSession struct {
-	id   uint64
-	conn *wire.Conn
-	gone bool // connection closed or replaced; terminal
-}
-
-type distEventKind uint8
-
-const (
-	distJoin distEventKind = iota
-	distMsg
-	distDead
-)
-
-type distEvent struct {
-	kind distEventKind
-	sess *distSession
-	msg  wire.Message
-	err  error
 }
 
 // RunAsyncDistributed executes the asynchronous master-slave Borg MOEA
@@ -137,63 +111,15 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 			return nil, fmt.Errorf("parallel: listen: %w", err)
 		}
 	}
-	defer listener.Close()
-
-	welcome := wire.Welcome{
-		Problem:         cfg.Problem.Name(),
-		NumVars:         uint32(cfg.Problem.NumVars()),
-		NumObjs:         uint32(cfg.Problem.NumObjs()),
-		HeartbeatMillis: uint32(dcfg.Conn.Heartbeat.Milliseconds()),
-	}
-
-	events := make(chan distEvent, 256)
-	done := make(chan struct{})
-	defer close(done)
-	push := func(e distEvent) {
-		select {
-		case events <- e:
-		case <-done:
-		}
-	}
-
-	// Accept loop: handshake each connection off the main loop, then
-	// feed its messages to the master as events.
-	var nextWorkerID atomic.Uint64
-	go func() {
-		for {
-			nc, err := listener.Accept()
-			if err != nil {
-				return // listener closed: run over
-			}
-			go func() {
-				var id uint64
-				conn, _, err := wire.ServerHandshake(nc, dcfg.Conn, func(h wire.Hello) (*wire.Welcome, error) {
-					w := welcome
-					if h.WorkerID != 0 {
-						w.WorkerID = h.WorkerID // reconnect keeps its identity
-					} else {
-						w.WorkerID = nextWorkerID.Add(1)
-					}
-					id = w.WorkerID
-					return &w, nil
-				})
-				if err != nil {
-					return
-				}
-				conn.StartHeartbeat(0)
-				s := &distSession{id: id, conn: conn}
-				push(distEvent{kind: distJoin, sess: s})
-				for {
-					m, err := conn.Recv()
-					if err != nil {
-						push(distEvent{kind: distDead, sess: s, err: err})
-						return
-					}
-					push(distEvent{kind: distMsg, sess: s, msg: m})
-				}
-			}()
-		}
-	}()
+	// The pool owns the listener from here on and closes it with every
+	// session at the end of the run.
+	pool := wire.NewPool(wire.Welcome{
+		Problem: cfg.Problem.Name(),
+		NumVars: uint32(cfg.Problem.NumVars()),
+		NumObjs: uint32(cfg.Problem.NumObjs()),
+	}, dcfg.Conn)
+	pool.Start(listener)
+	defer pool.Close()
 
 	// Master side: the shared state machine on the wall clock, lazy
 	// offspring generation (the worker pool is dynamic, so offspring
@@ -206,7 +132,6 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	// policy splits them across the result and dispatch paths); per
 	// completed evaluation they sum to the paper's T_A.
 	alg := master.NewMetered(b, cfg.meterConfig(meters, rng.New(cfg.Seed^0x6d617374), nil))
-	byID := make(map[uint64]*distSession)
 	tfSum, tfN := 0.0, uint64(0)
 	start := time.Now()
 	var elapsedAtN float64
@@ -239,52 +164,25 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	alg.Install(&mcfg)
 	m := master.NewCore(mcfg)
 
-	// drop tears down a session's transport; the state machine hears
-	// about the death separately (EvGone, or the retire inside a
-	// replacing EvJoin).
-	drop := func(s *distSession, why error) {
-		if s.gone {
-			return
-		}
-		s.gone = true
-		record(obs.Event{Kind: "worker.dead", Actor: fmt.Sprintf("worker%d", s.id), Detail: fmt.Sprintf("%v", why)})
-		s.conn.Close()
-		if byID[s.id] == s {
-			delete(byID, s.id)
-		}
-		adv.SetLive(len(byID))
-		dcfg.logf("parallel: worker %d gone: %v", s.id, why)
+	// gone reports a closed session; the state machine hears about the
+	// death separately (EvGone, or the retire inside a replacing EvJoin).
+	gone := func(id uint64, why error) {
+		record(obs.Event{Kind: "worker.dead", Actor: fmt.Sprintf("worker%d", id), Detail: fmt.Sprintf("%v", why)})
+		adv.SetLive(pool.Live())
+		dcfg.logf("parallel: worker %d gone: %v", id, why)
 	}
-	var exec func(acts []master.Action)
-	exec = func(acts []master.Action) {
-		// Handle reuses its action slice; copy before executing, because
-		// a failed grant send re-enters Handle mid-iteration.
-		acts = append([]master.Action(nil), acts...)
+	// A failed send surfaces later as the session's PoolDead, so
+	// executing actions never re-enters Handle.
+	exec := func(acts []master.Action) {
 		for _, a := range acts {
 			switch a.Kind {
 			case master.ActGrant:
-				s := byID[uint64(a.Worker)]
-				if s == nil || s.gone {
-					continue
+				if tc, err := pool.Grant(uint64(a.Worker), wire.EvaluateItem(a.Item)); err == nil {
+					adv.ObserveTC(tc)
+					cfg.Trace.ObserveTCSend(a.Item.ID, tc)
 				}
-				ev := &wire.Evaluate{
-					Lease:    a.Item.ID,
-					SolID:    a.Item.S.ID,
-					Operator: int32(a.Item.S.Operator),
-					Vars:     a.Item.S.Vars,
-					Trace:    a.Item.Trace,
-				}
-				sendStart := time.Now()
-				if err := s.conn.Send(ev); err != nil {
-					drop(s, err)
-					exec(m.Handle(master.Event{Kind: master.EvGone, Worker: a.Worker, At: since()}))
-					continue
-				}
-				cfg.Trace.ObserveTCSend(a.Item.ID, time.Since(sendStart).Seconds())
 			case master.ActStop:
-				if s := byID[uint64(a.Worker)]; s != nil && !s.gone {
-					_ = s.conn.Send(wire.Stop{})
-				}
+				_ = pool.Send(uint64(a.Worker), wire.Stop{})
 			case master.ActComplete:
 				elapsedAtN = since()
 				cfg.Protocol.SetElapsed(elapsedAtN)
@@ -292,16 +190,8 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 		}
 	}
 
-	var tickC <-chan time.Time
-	if leaseTimeout > 0 {
-		interval := leaseTimeout / 4
-		if interval < 10*time.Millisecond {
-			interval = 10 * time.Millisecond
-		}
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		tickC = ticker.C
-	}
+	tickC, stopTick := wire.LeaseTicker(leaseTimeout)
+	defer stopTick()
 	var wallC <-chan time.Time
 	if dcfg.WallLimit > 0 {
 		wall := time.NewTimer(dcfg.WallLimit)
@@ -312,59 +202,53 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 loop:
 	for !m.Done() {
 		select {
-		case e := <-events:
-			switch e.kind {
-			case distJoin:
-				if old := byID[e.sess.id]; old != nil && old != e.sess {
+		case e := <-pool.Events():
+			s := e.Session
+			switch e.Kind {
+			case wire.PoolJoin:
+				if old := pool.Admit(s); old != nil {
 					// Reconnect-with-hello: the old incarnation's work
 					// died with it; the machine retires it inside EvJoin.
-					drop(old, fmt.Errorf("replaced by reconnect"))
+					gone(old.ID, fmt.Errorf("replaced by reconnect"))
 				}
-				byID[e.sess.id] = e.sess
-				adv.SetLive(len(byID))
-				record(obs.Event{Kind: "worker.join", Actor: fmt.Sprintf("worker%d", e.sess.id), Detail: e.sess.conn.RemoteAddr().String()})
-				dcfg.logf("parallel: worker %d joined from %s (%d live)", e.sess.id, e.sess.conn.RemoteAddr(), len(byID))
-				exec(m.Handle(master.Event{Kind: master.EvJoin, Worker: int(e.sess.id), At: since()}))
-			case distDead:
-				if e.sess.gone {
-					break // already torn down (replaced, or send failure)
+				adv.SetLive(pool.Live())
+				record(obs.Event{Kind: "worker.join", Actor: fmt.Sprintf("worker%d", s.ID), Detail: s.RemoteAddr().String()})
+				dcfg.logf("parallel: worker %d joined from %s (%d live)", s.ID, s.RemoteAddr(), pool.Live())
+				exec(m.Handle(master.Event{Kind: master.EvJoin, Worker: int(s.ID), At: since()}))
+			case wire.PoolDead:
+				if !pool.Drop(s) {
+					break // already torn down (replaced, or a bad result)
 				}
-				drop(e.sess, e.err)
-				exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(e.sess.id), At: since()}))
-			case distMsg:
-				s := e.sess
-				if s.gone {
-					break
-				}
-				msg, ok := e.msg.(*wire.Result)
-				if !ok {
-					break // nothing else is expected after the handshake
+				gone(s.ID, e.Err)
+				exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(s.ID), At: since()}))
+			case wire.PoolMsg:
+				msg, ok := e.Msg.(*wire.Result)
+				if s.Gone() || !ok {
+					break // stale, or not a result (nothing else is expected)
 				}
 				// Fill in the solution and meter T_F only when the
 				// machine will accept this result (a live lease granted
 				// to this worker); late duplicates are discarded inside.
-				if worker, item, live := m.Lease(msg.Lease); live && worker == int(s.id) {
-					if len(msg.Objs) != cfg.Problem.NumObjs() {
-						drop(s, fmt.Errorf("result with %d objectives, want %d", len(msg.Objs), cfg.Problem.NumObjs()))
-						exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(s.id), At: since()}))
+				if worker, item, live := m.Lease(msg.Lease); live && worker == int(s.ID) {
+					evalSec, err := msg.Fill(item, cfg.Problem.NumObjs())
+					if err != nil {
+						pool.Drop(s)
+						gone(s.ID, err)
+						exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(s.ID), At: since()}))
 						break
 					}
-					sol := item.S
-					sol.Objs = msg.Objs
-					sol.Constrs = msg.Constrs
-					evalSec := float64(msg.EvalNanos) / 1e9
 					tfSum += evalSec
 					tfN++
 					meters.TF.ObserveExemplar(evalSec, item.Trace.Exemplar())
-					adv.ObserveTF(int(s.id), evalSec)
+					adv.ObserveTF(int(s.ID), evalSec)
 					cfg.Trace.ObserveTF(item.ID, evalSec)
 					if journal != nil {
 						// Reconstruct the worker's eval span master-side
 						// from the reported duration.
-						journal.Record(obs.Event{TS: since() - evalSec, Dur: evalSec, Kind: "eval", Actor: fmt.Sprintf("worker%d", s.id)})
+						journal.Record(obs.Event{TS: since() - evalSec, Dur: evalSec, Kind: "eval", Actor: fmt.Sprintf("worker%d", s.ID)})
 					}
 				}
-				exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.id), Item: msg.Lease, At: since()}))
+				exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.ID), Item: msg.Lease, At: since()}))
 				// Deferred mode: the grant frame is on the wire; fold the
 				// staged result in now (no-op when DeferArchive is off).
 				m.Flush()
@@ -383,17 +267,13 @@ loop:
 		}
 	}
 
-	// Tear down: stop accepting, stop every worker. Stop is written
-	// before the close, so a healthy worker reads it ahead of the FIN
-	// and exits cleanly instead of reconnecting. (On a completed run
-	// the machine's ActStop already said stop; the extra send on a
-	// drained conn is harmless, and this sweep also covers wall-limit
-	// exits.)
-	listener.Close()
-	for _, s := range byID {
-		_ = s.conn.Send(wire.Stop{})
-		s.conn.Close()
-	}
+	// Stop is written before the close, so a healthy worker reads it
+	// ahead of the FIN and exits cleanly instead of reconnecting. (On a
+	// completed run the machine's ActStop already said stop; the extra
+	// send on a drained conn is harmless, and this also covers
+	// wall-limit exits.)
+	pool.SendAll(wire.Stop{})
+	pool.Close()
 
 	st := m.Stats()
 	res.ElapsedTime = elapsedAtN
