@@ -3,11 +3,15 @@ package parallel
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/fnv"
 	"math"
+	"sort"
 	"testing"
 
+	"borgmoea/internal/advisor"
 	"borgmoea/internal/core"
+	"borgmoea/internal/obs"
 	"borgmoea/internal/problems"
 	"borgmoea/internal/stats"
 )
@@ -123,5 +127,105 @@ func TestTAScheduleCharacterization(t *testing.T) {
 	}
 	if want := (taSchedule{Elapsed: 0x3fc4102ea561e937, MeanTA: 0x3ef7e961cbcc8f76, TASamples: 1845, Samples: 0xa6775f4e1bb03587, Archive: 0x60ef81d6076adc48}); got != want {
 		t.Errorf("islands: schedule\n got %#v\nwant %#v", got, want)
+	}
+}
+
+// termTimings is the part of a run that depends on where the T_F, T_C
+// and queue-wait samples are taken and how they are totalled. T_F
+// samples are digested in sorted order, so the pin holds whether they
+// are collected per worker rank or in observation order.
+type termTimings struct {
+	MeanTC                   uint64
+	TFSamples                int
+	TFSorted                 uint64
+	TFHist, TCHist, WaitHist uint64
+}
+
+func termTimingsOf(reg *obs.Registry, meanTC float64, tf []float64) termTimings {
+	sorted := append([]float64(nil), tf...)
+	sort.Float64s(sorted)
+	return termTimings{
+		MeanTC:    math.Float64bits(meanTC),
+		TFSamples: len(tf),
+		TFSorted:  samplesDigest(sorted),
+		TFHist:    reg.Histogram(mTF, nil).Count(),
+		TCHist:    reg.Histogram(mTC, nil).Count(),
+		WaitHist:  reg.Histogram(mQueueWait, nil).Count(),
+	}
+}
+
+// TestTermTimingsCharacterization pins the T_F, T_C and queue-wait
+// bookkeeping of the virtual-time drivers: the bit-exact mean T_C, the
+// T_F samples as a multiset, the mean T_F to 1e-12 relative (summation
+// order may change), how many samples each master.* histogram
+// receives, and — with a collector and an advisor attached — the trace
+// sidecar bytes and the advisor's fitted report. The constants were
+// captured before the per-driver timing fan-outs were folded into
+// master.Timings.
+func TestTermTimingsCharacterization(t *testing.T) {
+	check := func(name string, got termTimings, meanTF float64, want termTimings, wantTF float64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: timings\n got %#v\nwant %#v", name, got, want)
+		}
+		if math.Abs(meanTF-wantTF) > 1e-12*wantTF {
+			t.Errorf("%s: MeanTF %v, want %v", name, meanTF, wantTF)
+		}
+	}
+	run := func(name string, fn func(Config) (*Result, error), cfg Config, want termTimings, wantTF float64) {
+		t.Helper()
+		cfg.Metrics = obs.NewRegistry()
+		res, err := fn(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check(name, termTimingsOf(cfg.Metrics, res.MeanTC, res.TFSamples), res.MeanTF, want, wantTF)
+	}
+	deferred := gammaConfig(8, 2000)
+	deferred.DeferArchive = true
+	run("async", RunAsync, gammaConfig(8, 2000),
+		termTimings{MeanTC: 0x3ed9179cf6f4a7a3, TFSamples: 2006, TFSorted: 0xe5007a63de5add28, TFHist: 2006, TCHist: 4006, WaitHist: 2000}, 0.0009989450937421258)
+	run("async-defer", RunAsync, deferred,
+		termTimings{MeanTC: 0x3ed937a983212fa1, TFSamples: 2006, TFSorted: 0x30710c991e0f489b, TFHist: 2006, TCHist: 4006, WaitHist: 2000}, 0.0009988455525748792)
+	run("sync", RunSync, gammaConfig(8, 2000),
+		termTimings{MeanTC: 0x3ed95e08227381ee, TFSamples: 2000, TFSorted: 0x5dabec48adbd5037, TFHist: 2000, TCHist: 3500}, 0.000997455433507028)
+
+	base := gammaConfig(5, 600)
+	base.Metrics = obs.NewRegistry()
+	res, err := RunIslands(IslandsConfig{Base: base, Islands: 3, MigrationEvery: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("islands", termTimingsOf(base.Metrics, 0, res.TFSamples), res.MeanTF,
+		termTimings{TFSamples: 1809, TFSorted: 0xba719393f2099ee6, TFHist: 1809, TCHist: 3679}, 0.0010014492431790843)
+
+	for _, tc := range []struct {
+		deferArchive     bool
+		sidecar, advisor uint64
+	}{
+		{false, 0xb66d97d4faff7a28, 0xaeaab073ce24b152},
+		{true, 0x7020288ac4fd233f, 0xf7e27fb0c95a45ca},
+	} {
+		cfg := gammaConfig(8, 2000)
+		cfg.DeferArchive = tc.deferArchive
+		cfg.Trace = obs.NewCollector(obs.CollectorConfig{RunID: cfg.Seed, Rate: 1})
+		cfg.Advisor = advisor.New(advisor.Config{})
+		if _, err := RunAsync(cfg); err != nil {
+			t.Fatal(err)
+		}
+		var sidecar bytes.Buffer
+		if _, err := cfg.Trace.TraceLog().WriteTo(&sidecar); err != nil {
+			t.Fatal(err)
+		}
+		report, err := json.Marshal(cfg.Advisor.Report())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fnvDigest(sidecar.Bytes()); got != tc.sidecar {
+			t.Errorf("traced async (defer %v): sidecar digest %#x, want %#x", tc.deferArchive, got, tc.sidecar)
+		}
+		if got := fnvDigest(report); got != tc.advisor {
+			t.Errorf("traced async (defer %v): advisor report digest %#x, want %#x", tc.deferArchive, got, tc.advisor)
+		}
 	}
 }
