@@ -146,14 +146,13 @@ func runIsland(ic islandContext) (islandResult, error) {
 		defer rootConn.Close()
 	}
 
+	tm := &master.Timings{Meters: ic.meters, Advisor: ic.adv, Trace: ic.trace}
 	// T_A is the measured wall-clock critical section, optionally
 	// stretched by a sampled SimulateTA sleep inside it (the knob that
 	// drags the per-island P_UB into loopback-test range).
 	mc := master.MeterConfig{
 		Stretch: cfg.SimulateTA,
-		Hist:    ic.meters.TA,
-		Advisor: ic.adv,
-		Trace:   ic.trace,
+		Timings: tm,
 		Quality: ic.quality,
 	}
 	if mc.Stretch != nil {
@@ -206,11 +205,10 @@ func runIsland(ic islandContext) (islandResult, error) {
 			case master.ActGrant:
 				if tc, err := pool.Grant(uint64(a.Worker), wire.EvaluateItem(a.Item)); err == nil {
 					// The measured send time is the direct T_C sample: it
-					// feeds both the advisor fit and the trace, so
+					// feeds master.tc, the advisor fit and the trace, so
 					// borgtrace's per-term means and /debug/scaling
 					// agree by construction.
-					ic.adv.ObserveTC(tc)
-					ic.trace.ObserveTCSend(a.Item.ID, tc)
+					tm.TCSend(a.Item, tc)
 				}
 			case master.ActStop:
 				_ = pool.Send(uint64(a.Worker), wire.Stop{})
@@ -370,9 +368,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 					break
 				}
 				accepted = item.S
-				ic.meters.TF.ObserveExemplar(evalSec, item.Trace.Exemplar())
-				ic.adv.ObserveTF(int(s.ID), evalSec)
-				ic.trace.ObserveTF(item.ID, evalSec)
+				tm.TF(item, int(s.ID), evalSec)
 			}
 			prev := m.Completed()
 			exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.ID), Item: msg.Lease, At: since()}))

@@ -307,12 +307,13 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 	j.borg = b
 	j.adv = advisor.New(advisor.Config{})
 	j.adv.Configure(0, j.spec.Evaluations)
+	j.tm = s.jobTimings(j)
 	j.replaying = true
 	// Recorded EvQuality points re-trigger sampling against the
 	// replayed algorithm: the restored job's quality timeline (and its
 	// stall detector) continue where the dead server's left off.
 	rc := master.ReplayConfig{
-		Alg:          master.NewMetered(b, master.MeterConfig{Advisor: j.adv, Quality: newJobQuality(j)}),
+		Alg:          master.NewMetered(b, master.MeterConfig{Timings: j.tm, Quality: newJobQuality(j)}),
 		Evaluate:     evalFor(j.problem),
 		OnAccept:     s.onAcceptHook(j),
 		OnAcceptFrom: s.onAcceptFromHook(j),

@@ -112,6 +112,7 @@ type job struct {
 	log     *master.Log
 	adv     *advisor.Advisor
 	trace   *obs.Collector      // nil unless Config.TraceRate > 0
+	tm      *master.Timings     // T_F, T_A and T_C into hEval, adv and trace
 	quality *obs.QualitySampler // nil unless Spec.QualityEvery > 0
 	ck      *ckpt               // nil without StateDir
 
@@ -429,10 +430,7 @@ func (s *Scheduler) onResult(id uint64, msg *wire.Result) {
 	if worker, item, live := j.mcore.Lease(ref.item); live && worker == int(id) {
 		item.S.Objs = msg.Objs
 		item.S.Constrs = msg.Constrs
-		sec := float64(msg.EvalNanos) / 1e9
-		j.adv.ObserveTF(int(id), sec)
-		j.trace.ObserveTF(ref.item, sec)
-		s.hEval.ObserveExemplar(sec, item.Trace.Exemplar())
+		j.tm.TF(item, int(id), float64(msg.EvalNanos)/1e9)
 	}
 	s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvResult, Worker: int(id), Item: ref.item, At: s.now()}))
 	// Quality cadence: the trigger detours through the job's core so
@@ -535,8 +533,7 @@ func (s *Scheduler) exec(j *job, acts []master.Action) {
 			// A failed send surfaces later as the session's PoolDead,
 			// which retires the worker and resubmits this lease.
 			if tc, err := s.pool.Grant(id, ev); err == nil {
-				j.adv.ObserveTC(tc)
-				j.trace.ObserveTCSend(a.Item.ID, tc)
+				j.tm.TCSend(a.Item, tc)
 			}
 		case master.ActComplete:
 			s.finishJob(j)
@@ -646,7 +643,8 @@ func (s *Scheduler) startJob(j *job) {
 	}
 	// The measured serial critical section (the paper's T_A) feeds the
 	// job's advisor and trace.
-	master.NewMetered(b, master.MeterConfig{Advisor: j.adv, Trace: j.trace, Quality: newJobQuality(j)}).Install(&mcfg)
+	j.tm = s.jobTimings(j)
+	master.NewMetered(b, master.MeterConfig{Timings: j.tm, Quality: newJobQuality(j)}).Install(&mcfg)
 	j.mcore = master.NewCore(mcfg)
 	if j.ck != nil {
 		if err := j.ck.openLog(j.log); err != nil {
@@ -673,6 +671,13 @@ func (s *Scheduler) startJob(j *job) {
 	}
 	s.cfg.logf("jobs: %s running", j.id)
 	s.sweepAssign()
+}
+
+// jobTimings is the job's sink for every model term: T_F lands in the
+// scheduler-wide eval histogram, every term in the job's advisor and
+// trace.
+func (s *Scheduler) jobTimings(j *job) *master.Timings {
+	return &master.Timings{Meters: master.Meters{TF: s.hEval}, Advisor: j.adv, Trace: j.trace}
 }
 
 // newJobQuality builds the job's quality sampler when the spec opted

@@ -3,7 +3,6 @@ package master
 import (
 	"time"
 
-	"borgmoea/internal/advisor"
 	"borgmoea/internal/core"
 	"borgmoea/internal/obs"
 	"borgmoea/internal/rng"
@@ -26,32 +25,23 @@ type MeterConfig struct {
 	// federation's SimulateTA knob.
 	Stretch stats.Distribution
 	// Charge bills a section's T_A to the transport (a DES "algo"
-	// hold, a realtime journal span) after the observers saw it.
+	// hold, a realtime journal span) before it is reported.
 	Charge func(ta float64)
-	// Capture keeps every T_A value for Samples.
-	Capture bool
-	// Observers, each nil-safe. Hist (the master.ta histogram) and
-	// Advisor receive every T_A; Trace receives the T_A of each section
-	// that folds a result in, keyed by that result's lease id. Install
-	// wires Advisor, Trace and Quality into the core's hooks.
-	Hist    *obs.Histogram
-	Advisor *advisor.Advisor
-	Trace   *obs.Collector
+	// Timings receives every T_A, keyed by the lease id of the result
+	// the section folds in. Install wires its advisor and trace
+	// collector, and Quality, into the core's hooks.
+	Timings *Timings
 	Quality *obs.QualitySampler
 }
 
 // Metered is the Algorithm adapter every driver runs. It wraps one
 // Borg instance and treats each master critical section alike: Suggest,
 // Accept, AcceptSuggest, ApplyStaged and Inject each count as one T_A
-// section, timed or sampled per MeterConfig, reported once to the
-// observers, then charged. StageAccept is an append and stays
-// uncharged.
+// section, timed or sampled per MeterConfig, charged, then reported
+// once to its Timings. StageAccept is an append and stays uncharged.
 type Metered struct {
-	b       *core.Borg
-	cfg     MeterConfig
-	sum     float64
-	n       uint64
-	samples []float64
+	b   *core.Borg
+	cfg MeterConfig
 	// staged is the lease id of the latest StageAccept, which the
 	// following ApplyStaged folds in.
 	staged uint64
@@ -63,18 +53,20 @@ func NewMetered(b *core.Borg, cfg MeterConfig) *Metered {
 }
 
 // Install makes m the core's algorithm and wires its observers into
-// the core's hooks: the trace collector becomes the protocol tracer,
-// the quality sampler is attached and receives EvQuality, and the
-// advisor receives OnAcceptFrom unless the caller set that hook
-// already. Replay installs a Metered passed as ReplayConfig.Alg the
-// same way.
+// the core's hooks: the Timings' trace collector becomes the protocol
+// tracer, the quality sampler is attached and receives EvQuality, and
+// the Timings' advisor receives OnAcceptFrom unless the caller set
+// that hook already. Replay installs a Metered passed as
+// ReplayConfig.Alg the same way.
 func (m *Metered) Install(cfg *Config) {
 	cfg.Alg = m
-	if m.cfg.Trace != nil {
-		cfg.Tracer = m.cfg.Trace
-	}
-	if adv := m.cfg.Advisor; adv != nil && cfg.OnAcceptFrom == nil {
-		cfg.OnAcceptFrom = adv.ObserveAccept
+	if tm := m.cfg.Timings; tm != nil {
+		if tm.Trace != nil {
+			cfg.Tracer = tm.Trace
+		}
+		if tm.Advisor != nil && cfg.OnAcceptFrom == nil {
+			cfg.OnAcceptFrom = tm.Advisor.ObserveAccept
+		}
 	}
 	if q := m.cfg.Quality; q != nil {
 		q.Attach(m.b)
@@ -85,21 +77,21 @@ func (m *Metered) Install(cfg *Config) {
 func (m *Metered) Suggest() *core.Solution {
 	t0 := m.start()
 	s := m.b.Suggest()
-	m.stop(t0)
+	m.stop(t0, 0)
 	return s
 }
 
 func (m *Metered) Accept(it *Item) {
 	t0 := m.start()
 	m.b.Accept(it.S)
-	m.cfg.Trace.ObserveTA(it.ID, m.stop(t0))
+	m.stop(t0, it.ID)
 }
 
 func (m *Metered) AcceptSuggest(it *Item) *core.Solution {
 	t0 := m.start()
 	m.b.Accept(it.S)
 	next := m.b.Suggest()
-	m.cfg.Trace.ObserveTA(it.ID, m.stop(t0))
+	m.stop(t0, it.ID)
 	return next
 }
 
@@ -111,7 +103,7 @@ func (m *Metered) StageAccept(it *Item) {
 func (m *Metered) ApplyStaged() {
 	t0 := m.start()
 	m.b.ApplyStaged()
-	m.cfg.Trace.ObserveTA(m.staged, m.stop(t0))
+	m.stop(t0, m.staged)
 }
 
 // Inject folds an evaluated migrant in as its own T_A section: master
@@ -119,25 +111,8 @@ func (m *Metered) ApplyStaged() {
 func (m *Metered) Inject(s *core.Solution) {
 	t0 := m.start()
 	m.b.InjectEvaluated(s)
-	m.stop(t0)
+	m.stop(t0, 0)
 }
-
-// Sum returns the total T_A metered so far.
-func (m *Metered) Sum() float64 { return m.sum }
-
-// Count returns the number of T_A sections so far.
-func (m *Metered) Count() uint64 { return m.n }
-
-// Mean returns the mean T_A per section (0 before the first).
-func (m *Metered) Mean() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
-}
-
-// Samples returns every T_A so far when Capture is set.
-func (m *Metered) Samples() []float64 { return m.samples }
 
 func (m *Metered) start() time.Time {
 	if m.cfg.TA != nil {
@@ -146,9 +121,10 @@ func (m *Metered) start() time.Time {
 	return time.Now()
 }
 
-// stop closes the section opened at t0: it settles its T_A, reports it
-// and charges it.
-func (m *Metered) stop(t0 time.Time) float64 {
+// stop closes the section opened at t0: it settles its T_A, charges
+// it and reports it, keyed by id (0 for a section that folds no result
+// in).
+func (m *Metered) stop(t0 time.Time, id uint64) {
 	var ta float64
 	if m.cfg.TA != nil {
 		ta = m.cfg.TA.Sample(m.cfg.Rng)
@@ -158,15 +134,8 @@ func (m *Metered) stop(t0 time.Time) float64 {
 		}
 		ta = time.Since(t0).Seconds()
 	}
-	m.sum += ta
-	m.n++
-	if m.cfg.Capture {
-		m.samples = append(m.samples, ta)
-	}
-	m.cfg.Hist.Observe(ta)
-	m.cfg.Advisor.ObserveTA(ta)
 	if m.cfg.Charge != nil {
 		m.cfg.Charge(ta)
 	}
-	return ta
+	m.cfg.Timings.TA(id, ta)
 }

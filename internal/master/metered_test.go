@@ -22,12 +22,12 @@ func TestMeteredSections(t *testing.T) {
 	}
 	var charged []float64
 	reg := obs.NewRegistry()
+	tm := &Timings{Meters: NewMeters(reg), Capture: true}
 	m := NewMetered(b, MeterConfig{
 		TA:      stats.NewUniform(1, 2),
 		Rng:     rng.New(1),
 		Charge:  func(ta float64) { charged = append(charged, ta) },
-		Capture: true,
-		Hist:    NewMeters(reg).TA,
+		Timings: tm,
 	})
 	eval := func(id uint64, s *core.Solution) *Item {
 		core.EvaluateSolution(p, s)
@@ -41,18 +41,19 @@ func TestMeteredSections(t *testing.T) {
 	m.Inject(eval(4, m.Suggest()).S)
 
 	const sections = 7 // 3 Suggest + AcceptSuggest + ApplyStaged + Accept + Inject
-	if len(charged) != sections || m.Count() != sections {
-		t.Fatalf("charged %d sections (count %d), want %d", len(charged), m.Count(), sections)
+	total := tm.TotalTA
+	if len(charged) != sections || total.N != sections {
+		t.Fatalf("charged %d sections (count %d), want %d", len(charged), total.N, sections)
 	}
 	sum := 0.0
 	for i, ta := range charged {
-		if ta != m.Samples()[i] {
-			t.Fatalf("section %d charged %v but captured %v", i, ta, m.Samples()[i])
+		if ta != total.Samples[i] {
+			t.Fatalf("section %d charged %v but captured %v", i, ta, total.Samples[i])
 		}
 		sum += ta
 	}
-	if m.Sum() != sum || m.Mean() != sum/sections {
-		t.Fatalf("Sum %v Mean %v, want %v and %v", m.Sum(), m.Mean(), sum, sum/sections)
+	if total.Sum != sum || total.Mean() != sum/sections {
+		t.Fatalf("Sum %v Mean %v, want %v and %v", total.Sum, total.Mean(), sum, sum/sections)
 	}
 	if got := reg.Histogram(MetricTA, nil).Count(); got != sections {
 		t.Fatalf("%s observed %d sections, want %d", MetricTA, got, sections)
@@ -68,7 +69,7 @@ func TestMeteredInstall(t *testing.T) {
 	}
 	col := obs.NewCollector(obs.CollectorConfig{RunID: 1, Rate: 1})
 	q := obs.NewQualitySampler(obs.QualityConfig{Every: 10})
-	m := NewMetered(b, MeterConfig{Advisor: advisor.New(advisor.Config{}), Trace: col, Quality: q})
+	m := NewMetered(b, MeterConfig{Timings: &Timings{Advisor: advisor.New(advisor.Config{}), Trace: col}, Quality: q})
 
 	var cfg Config
 	m.Install(&cfg)

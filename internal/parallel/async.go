@@ -47,42 +47,36 @@ func RunAsync(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Processors: cfg.Processors, Final: b}
-	meters := master.NewMeters(cfg.Metrics)
-	adv := cfg.Advisor
-	adv.Configure(cfg.Processors, cfg.Evaluations)
+	tm := cfg.timings()
+	cfg.Advisor.Configure(cfg.Processors, cfg.Evaluations)
 	masterRng := rng.New(cfg.Seed ^ 0x6d617374) // "mast"
-	var alg *master.Metered
-	tcSum, tcN := 0.0, uint64(0)
-	sampleTC := func() float64 {
-		tc := cfg.TC.Sample(masterRng)
-		tcSum += tc
-		tcN++
-		meters.TC.Observe(tc)
-		adv.ObserveTC(tc)
-		return tc
-	}
 
 	var elapsedAtN float64
 	var m *master.Core
 
-	recs := newRecorders(&cfg)
-	startWorkers(eng, cl, &cfg, recs)
+	startWorkers(eng, cl, &cfg, tm)
 
 	// Master process: one shared state machine, one mailbox.
 	node := cl.Node(0)
 	eng.Go("master", func(p *des.Process) {
 		// Every critical section is charged to the master node as an
 		// "algo" hold, exactly as the paper instruments it.
-		alg = master.NewMetered(b, cfg.meterConfig(meters, masterRng, func(ta float64) { node.HoldBusy(p, ta, "algo") }))
+		alg := master.NewMetered(b, master.MeterConfig{
+			TA:      cfg.TA,
+			Rng:     masterRng,
+			Charge:  func(ta float64) { node.HoldBusy(p, ta, "algo") },
+			Timings: tm,
+			Quality: cfg.Quality,
+		})
 		mcfg := master.Config{
 			Budget:       cfg.Evaluations,
 			LeaseTimeout: cfg.LeaseTimeout,
 			Policy:       master.EagerOffspring,
 			DeferApply:   cfg.DeferArchive,
-			Meters:       meters,
+			Meters:       tm.Meters,
 			Emit:         func(kind, detail string) { eng.Emit(kind, "master", detail) },
 			Log:          cfg.Protocol,
-			OnAccept:     cfg.checkpointHook(meters, p.Now, b),
+			OnAccept:     cfg.checkpointHook(tm.Meters, p.Now, b),
 		}
 		alg.Install(&mcfg)
 		m = master.NewCore(mcfg)
@@ -90,9 +84,7 @@ func RunAsync(cfg Config) (*Result, error) {
 			for _, a := range acts {
 				switch a.Kind {
 				case master.ActGrant:
-					tc := sampleTC()
-					node.HoldBusy(p, tc, "comm")
-					cfg.Trace.ObserveTCSend(a.Item.ID, tc)
+					tm.TCSend(a.Item, holdTC(p, node, cfg.TC, masterRng))
 					node.Send(a.Worker, tagEvaluate, a.Item)
 				case master.ActStop:
 					node.Send(a.Worker, tagStop, nil)
@@ -128,18 +120,14 @@ func RunAsync(cfg Config) (*Result, error) {
 		for !m.Done() {
 			msg := receive()
 			wait := p.Now() - msg.ArriveAt
-			adv.ObserveQueueWait(wait)
-			tc := sampleTC()
-			node.HoldBusy(p, tc, "comm")
+			tc := holdTC(p, node, cfg.TC, masterRng)
+			item, _ := msg.Payload.(*master.Item) // nil for a hello
+			tm.Wait(item, wait)
+			tm.TCRecv(item, tc)
 			if msg.Tag == tagHello {
-				meters.QueueWait.Observe(wait)
 				exec(m.Handle(master.Event{Kind: master.EvHello, Worker: msg.From, At: p.Now()}))
 				continue
 			}
-			item := msg.Payload.(*master.Item)
-			meters.QueueWait.ObserveExemplar(wait, item.Trace.Exemplar())
-			cfg.Trace.ObserveQueueWait(item.ID, wait)
-			cfg.Trace.ObserveTCRecv(item.ID, tc)
 			exec(m.Handle(master.Event{Kind: master.EvResult, Worker: msg.From, Item: item.ID, At: p.Now()}))
 			// Deferred mode: the grant's T_C hold has been charged; fold
 			// the staged result in now, charging its T_A after the send
@@ -179,11 +167,6 @@ func RunAsync(cfg Config) (*Result, error) {
 		}
 		res.MeanWorkerUtilization = sum / float64(cfg.Processors-1)
 	}
-	res.MeanTA = alg.Mean()
-	res.TASamples = alg.Samples()
-	res.MeanTF, res.TFSamples = mergeTF(recs...)
-	if tcN > 0 {
-		res.MeanTC = tcSum / float64(tcN)
-	}
+	res.fillTimings(tm)
 	return res, nil
 }

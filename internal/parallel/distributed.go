@@ -126,13 +126,17 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	// are suggested on demand at dispatch, bounded by the remaining
 	// budget).
 	res := &Result{Final: b}
-	meters := master.NewMeters(cfg.Metrics)
+	tm := cfg.timings()
 	journal := cfg.Events
 	// Accept and Suggest are metered as separate sections (the lazy
 	// policy splits them across the result and dispatch paths); per
 	// completed evaluation they sum to the paper's T_A.
-	alg := master.NewMetered(b, cfg.meterConfig(meters, rng.New(cfg.Seed^0x6d617374), nil))
-	tfSum, tfN := 0.0, uint64(0)
+	alg := master.NewMetered(b, master.MeterConfig{
+		TA:      cfg.TA,
+		Rng:     rng.New(cfg.Seed ^ 0x6d617374),
+		Timings: tm,
+		Quality: cfg.Quality,
+	})
 	start := time.Now()
 	var elapsedAtN float64
 	since := func() float64 { return time.Since(start).Seconds() }
@@ -156,10 +160,10 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 		// solution), so an expired lease's wrapper and Solution can be
 		// reissued in place instead of cloned.
 		ReuseOnResubmit: true,
-		Meters:          meters,
+		Meters:          tm.Meters,
 		Emit:            func(kind, detail string) { record(obs.Event{Kind: kind, Actor: "master", Detail: detail}) },
 		Log:             cfg.Protocol,
-		OnAccept:        cfg.checkpointHook(meters, since, b),
+		OnAccept:        cfg.checkpointHook(tm.Meters, since, b),
 	}
 	alg.Install(&mcfg)
 	m := master.NewCore(mcfg)
@@ -178,8 +182,7 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 			switch a.Kind {
 			case master.ActGrant:
 				if tc, err := pool.Grant(uint64(a.Worker), wire.EvaluateItem(a.Item)); err == nil {
-					adv.ObserveTC(tc)
-					cfg.Trace.ObserveTCSend(a.Item.ID, tc)
+					tm.TCSend(a.Item, tc)
 				}
 			case master.ActStop:
 				_ = pool.Send(uint64(a.Worker), wire.Stop{})
@@ -237,11 +240,7 @@ loop:
 						exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(s.ID), At: since()}))
 						break
 					}
-					tfSum += evalSec
-					tfN++
-					meters.TF.ObserveExemplar(evalSec, item.Trace.Exemplar())
-					adv.ObserveTF(int(s.ID), evalSec)
-					cfg.Trace.ObserveTF(item.ID, evalSec)
+					tm.TF(item, int(s.ID), evalSec)
 					if journal != nil {
 						// Reconstruct the worker's eval span master-side
 						// from the reported duration.
@@ -286,16 +285,14 @@ loop:
 	res.LostEvaluations = st.Lost
 	res.DuplicateResults = st.Duplicates
 	res.Processors = m.Peak() + 1
-	res.MasterBusy = alg.Sum()
+	res.fillTimings(tm)
+	res.MasterBusy = tm.TotalTA.Sum
 	if res.ElapsedTime > 0 {
 		res.MasterUtilization = res.MasterBusy / res.ElapsedTime
 	}
+	// T_A per completed evaluation: its Suggest and Accept sections.
 	if st.Completed > 0 {
-		res.MeanTA = alg.Sum() / float64(st.Completed)
-	}
-	res.TASamples = alg.Samples()
-	if tfN > 0 {
-		res.MeanTF = tfSum / float64(tfN)
+		res.MeanTA = tm.TotalTA.Sum / float64(st.Completed)
 	}
 	return res, nil
 }

@@ -63,7 +63,7 @@ type IslandsResult struct {
 
 	// MeanTA and MeanTF are the observed timing means across all
 	// islands; TASamples and TFSamples hold the raw samples (island-
-	// major, then worker-rank order) when Base.CaptureTimings was set.
+	// major, then report order) when Base.CaptureTimings was set.
 	MeanTA, MeanTF       float64
 	TASamples, TFSamples []float64
 }
@@ -132,12 +132,8 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 	// federation puts on the network.
 	const tagMigrant = 100
 
-	// Per-process timing records: each island master's adapter meters
-	// its own T_A, each worker owns a T_F recorder, and all are merged
-	// in deterministic (island-major, rank) order after the run — no
-	// shared counters are touched from inside process closures.
-	algs := make([]*master.Metered, k)
-	tfRecs := make([]*tfRecorder, 0, k*(perP-1))
+	// One timing sink per island, merged island-major after the run.
+	tms := make([]*master.Timings, k)
 
 	for isl := 0; isl < k; isl++ {
 		isl := isl
@@ -152,18 +148,13 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 
 		mRng := rng.New(base.Seed ^ (uint64(isl+1) * 0x6d61)) // per-island master stream (T_A, T_C)
 		migRng := federation.NewMigrationRNG(base.Seed, isl)  // emigrant selection, shared with TCP
-		sampleTC := func() float64 {
-			tc := base.TC.Sample(mRng)
-			meters.TC.Observe(tc)
-			return tc
-		}
+		tm := &master.Timings{Meters: meters, Capture: base.CaptureTimings}
+		tms[isl] = tm
 
 		// Island workers.
 		for w := 1; w < perP; w++ {
 			rank := masterRank + w
 			node := cl.Node(rank)
-			tfRec := &tfRecorder{capture: base.CaptureTimings, hist: meters.TF}
-			tfRecs = append(tfRecs, tfRec)
 			wRng := rng.New(base.Seed ^ (uint64(rank+1) * 0x9e3779b97f4a7c15))
 			eng.Go(fmt.Sprintf("i%dworker%d", isl, w), func(p *des.Process) {
 				for {
@@ -174,7 +165,7 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 					item := msg.Payload.(*master.Item)
 					core.EvaluateSolution(base.Problem, item.S)
 					tf := base.TF.Sample(wRng)
-					tfRec.record(tf, 0)
+					tm.TF(item, w, tf)
 					node.HoldBusy(p, tf, "eval")
 					node.Send(masterRank, tagResult, item)
 				}
@@ -203,10 +194,8 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 				TA:      base.TA,
 				Rng:     mRng,
 				Charge:  func(ta float64) { node.HoldBusy(p, ta, "algo") },
-				Capture: base.CaptureTimings,
-				Hist:    meters.TA,
+				Timings: tm,
 			})
-			algs[isl] = alg
 			mcfg := master.Config{
 				Budget: base.Evaluations,
 				Policy: master.EagerOffspring,
@@ -225,7 +214,7 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 				for _, a := range acts {
 					switch a.Kind {
 					case master.ActGrant:
-						node.HoldBusy(p, sampleTC(), "comm")
+						tm.TCSend(a.Item, holdTC(p, node, base.TC, mRng))
 						node.Send(masterRank+a.Worker, tagEvaluate, a.Item)
 					case master.ActStop:
 						node.Send(masterRank+a.Worker, tagStop, nil)
@@ -240,7 +229,7 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 			// are not re-charged when the main loop gets to them.
 			recv := func() *cluster.Message {
 				msg := node.Recv(p)
-				node.HoldBusy(p, sampleTC(), "comm")
+				tm.TCRecv(nil, holdTC(p, node, base.TC, mRng))
 				return msg
 			}
 			var backlog []*cluster.Message
@@ -293,7 +282,7 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 				lastEpoch = epoch
 				mg := federation.Emigrant(isl, epoch, b.Archive(), migRng, accepted)
 				migBuf = wire.AppendFrame(migBuf[:0], mg)
-				node.HoldBusy(p, sampleTC(), "comm")
+				tm.TCSend(nil, holdTC(p, node, base.TC, mRng))
 				node.Send(nextMaster, tagMigrant, append([]byte(nil), migBuf...))
 				mlog.Record(mg)
 				res.Migrants++
@@ -346,17 +335,13 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 		}
 	}
 
-	// Aggregate per-island timing observations (island-major order).
-	taSum, taN := 0.0, uint64(0)
-	for _, alg := range algs {
-		taSum += alg.Sum()
-		taN += alg.Count()
-		res.TASamples = append(res.TASamples, alg.Samples()...)
+	var ta, tf master.Term
+	for _, tm := range tms {
+		ta.Merge(tm.TotalTA)
+		tf.Merge(tm.TotalTF)
 	}
-	if taN > 0 {
-		res.MeanTA = taSum / float64(taN)
-	}
-	res.MeanTF, res.TFSamples = mergeTF(tfRecs...)
+	res.MeanTA, res.TASamples = ta.Mean(), ta.Samples
+	res.MeanTF, res.TFSamples = tf.Mean(), tf.Samples
 
 	// Merge: ε-nondominated union of all island archives, via the same
 	// helper the federation (and its replays) use.

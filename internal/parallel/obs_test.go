@@ -3,6 +3,7 @@ package parallel
 import (
 	"bytes"
 	"context"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -11,8 +12,25 @@ import (
 	"borgmoea/internal/advisor"
 	"borgmoea/internal/core"
 	"borgmoea/internal/fault"
+	"borgmoea/internal/master"
 	"borgmoea/internal/obs"
+	"borgmoea/internal/problems"
+	"borgmoea/internal/stats"
 	"borgmoea/internal/wire"
+)
+
+// Short forms of the shared metric names (internal/master).
+const (
+	mEvaluations = master.MetricEvaluations
+	mResub       = master.MetricResub
+	mLeaseExpiry = master.MetricLeaseExpiry
+	mDuplicates  = master.MetricDuplicates
+	mJoins       = master.MetricJoins
+	mTA          = master.MetricTA
+	mTC          = master.MetricTC
+	mQueueWait   = master.MetricQueueWait
+	mTF          = master.MetricTF
+	mMigrants    = master.MetricMigrants
 )
 
 // TestAsyncMetricsAndTrace attaches the full telemetry kit to a
@@ -270,6 +288,129 @@ func TestRealtimeMetrics(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"algo"`) {
 		t.Error("realtime trace has no algo spans")
+	}
+}
+
+// meanOf is the arithmetic mean of xs (0 when empty).
+func meanOf(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
+// TestRealtimeReportsObservedTF: with half the workers ten times slower,
+// the fast workers return most results, so the T_F the run observed is
+// well above the configured constant. MeanTF must be that observed mean
+// (it feeds SerialTime, hence speedup and efficiency), and
+// CaptureTimings must keep the samples it was computed from.
+func TestRealtimeReportsObservedTF(t *testing.T) {
+	const tf = 1e-4
+	cfg := testConfig(5, 400)
+	cfg.TF = stats.NewConstant(tf)
+	cfg.TA = nil
+	cfg.StragglerFraction = 0.5
+	cfg.StragglerFactor = 10
+	cfg.CaptureTimings = true
+	cfg.Metrics = obs.NewRegistry()
+	res, err := RunAsyncRealtime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.TFSamples) == 0 {
+		t.Fatal("CaptureTimings kept no T_F samples")
+	}
+	if got := cfg.Metrics.Histogram(mTF, nil).Count(); got != uint64(len(res.TFSamples)) {
+		t.Fatalf("%s observed %d samples, TFSamples holds %d", mTF, got, len(res.TFSamples))
+	}
+	if want := meanOf(res.TFSamples); math.Abs(res.MeanTF-want) > 1e-12*want {
+		t.Fatalf("MeanTF %v, want the mean of TFSamples %v", res.MeanTF, want)
+	}
+	if res.MeanTF <= 1.5*tf {
+		t.Fatalf("MeanTF %v; half the workers run at %v, so the observed mean must exceed %v", res.MeanTF, 10*tf, 1.5*tf)
+	}
+}
+
+// serveCounting is a raw TCP worker: it evaluates every grant until the
+// master's Stop and returns how many grants it received.
+func serveCounting(addr string, p problems.Problem) (int, error) {
+	c, _, err := wire.Dial(addr, wire.Hello{}, fastConn)
+	if err != nil {
+		return 0, err
+	}
+	defer c.Close()
+	for n := 0; ; {
+		m, err := c.Recv()
+		if err != nil {
+			return n, err
+		}
+		switch m := m.(type) {
+		case wire.Stop:
+			return n, nil
+		case *wire.Evaluate:
+			n++
+			objs := make([]float64, p.NumObjs())
+			p.Evaluate(m.Vars, objs)
+			if err := c.Send(&wire.Result{Lease: m.Lease, SolID: m.SolID, Operator: m.Operator, Objs: objs, Trace: m.Trace}); err != nil {
+				return n, err
+			}
+		}
+	}
+}
+
+// TestDistributedReportsTC: over loopback TCP each grant's measured
+// send time is one T_C sample, so the master.tc histogram counts
+// exactly the grants the workers received and Result.MeanTC is their
+// positive mean. T_F, reported by the workers, is captured likewise.
+func TestDistributedReportsTC(t *testing.T) {
+	if testing.Short() {
+		t.Skip("network integration test skipped in -short mode")
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := distConfig(300)
+	cfg.Metrics = obs.NewRegistry()
+	cfg.CaptureTimings = true
+	type served struct {
+		n   int
+		err error
+	}
+	workers := make(chan served, 2)
+	for w := 0; w < 2; w++ {
+		go func() {
+			n, err := serveCounting(l.Addr().String(), cfg.Problem)
+			workers <- served{n, err}
+		}()
+	}
+	res, err := RunAsyncDistributed(cfg, DistributedConfig{Listener: l, Conn: fastConn, WallLimit: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatalf("run incomplete: %d/%d", res.Evaluations, cfg.Evaluations)
+	}
+	grants := 0
+	for w := 0; w < 2; w++ {
+		s := <-workers
+		if s.err != nil {
+			t.Fatalf("worker lost its session: %v", s.err)
+		}
+		grants += s.n
+	}
+	if got := cfg.Metrics.Histogram(mTC, nil).Count(); got != uint64(grants) {
+		t.Fatalf("%s observed %d samples, want one per grant (%d)", mTC, got, grants)
+	}
+	if res.MeanTC <= 0 {
+		t.Fatalf("MeanTC = %v, want the mean measured send time (> 0)", res.MeanTC)
+	}
+	if len(res.TFSamples) == 0 || cfg.Metrics.Histogram(mTF, nil).Count() != uint64(len(res.TFSamples)) {
+		t.Fatalf("TFSamples holds %d, %s observed %d", len(res.TFSamples), mTF, cfg.Metrics.Histogram(mTF, nil).Count())
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"borgmoea/internal/master"
 	"borgmoea/internal/obs"
 	"borgmoea/internal/problems"
-	"borgmoea/internal/rng"
 	"borgmoea/internal/stats"
 )
 
@@ -85,7 +84,8 @@ type Config struct {
 	OnCheckpoint func(virtualTime float64, b *core.Borg)
 
 	// CaptureTimings records every T_A and T_F sample into the
-	// result, for distribution fitting.
+	// result, for distribution fitting. Every driver honours it: the
+	// DES drivers, realtime, distributed and RunIslands.
 	CaptureTimings bool
 
 	// StragglerFraction marks the given fraction of workers as
@@ -311,21 +311,17 @@ func (r *Result) Efficiency() float64 {
 	return r.SerialTime() / (float64(r.Processors) * r.ElapsedTime)
 }
 
-// meterConfig is the run's T_A adapter configuration: T_A sampled
-// from TA on r (nil TA measures wall-clock time), charged through
-// charge, and reported to the run's histogram, advisor, trace
-// collector and quality sampler.
-func (c *Config) meterConfig(meters master.Meters, r *rng.Source, charge func(ta float64)) master.MeterConfig {
-	return master.MeterConfig{
-		TA:      c.TA,
-		Rng:     r,
-		Charge:  charge,
-		Capture: c.CaptureTimings,
-		Hist:    meters.TA,
-		Advisor: c.Advisor,
-		Trace:   c.Trace,
-		Quality: c.Quality,
-	}
+// timings is the run's sink for every model term: the shared master.*
+// instruments, the advisor and the trace collector.
+func (c *Config) timings() *master.Timings {
+	return &master.Timings{Meters: master.NewMeters(c.Metrics), Advisor: c.Advisor, Trace: c.Trace, Capture: c.CaptureTimings}
+}
+
+// fillTimings copies the run's per-term means and samples into r.
+func (r *Result) fillTimings(tm *master.Timings) {
+	r.MeanTA, r.TASamples = tm.TotalTA.Mean(), tm.TotalTA.Samples
+	r.MeanTF, r.TFSamples = tm.TotalTF.Mean(), tm.TotalTF.Samples
+	r.MeanTC = tm.TotalTC.Mean()
 }
 
 // checkpointHook returns the master's OnAccept hook that hands the

@@ -10,10 +10,13 @@ import (
 	"borgmoea/internal/rng"
 )
 
-// rtResult carries an evaluated item back to the master goroutine.
+// rtResult carries an evaluated item and its T_F back to the master
+// goroutine, which reports every sample, so the run's totals have a
+// single writer.
 type rtResult struct {
 	worker int
 	item   *master.Item
+	tf     float64
 }
 
 // RunAsyncRealtime executes the asynchronous master-slave Borg MOEA
@@ -56,10 +59,9 @@ func RunAsyncRealtime(cfg Config) (*Result, error) {
 	results := make(chan rtResult, workers)
 	done := make(chan struct{})
 
-	meters := master.NewMeters(cfg.Metrics)
+	tm := cfg.timings()
 	events := cfg.Events
-	adv := cfg.Advisor
-	adv.Configure(cfg.Processors, cfg.Evaluations)
+	cfg.Advisor.Configure(cfg.Processors, cfg.Evaluations)
 	start := time.Now()
 	since := func() float64 { return time.Since(start).Seconds() }
 
@@ -80,14 +82,11 @@ func RunAsyncRealtime(cfg Config) (*Result, error) {
 					tf *= cfg.StragglerFactor
 				}
 				time.Sleep(time.Duration(tf * float64(time.Second)))
-				meters.TF.ObserveExemplar(tf, item.Trace.Exemplar())
-				adv.ObserveTF(w+1, tf)
-				cfg.Trace.ObserveTF(item.ID, tf)
 				if events != nil {
 					events.Record(obs.Event{TS: t0, Dur: since() - t0, Kind: "eval", Actor: actor})
 				}
 				select {
-				case results <- rtResult{worker: w + 1, item: item}:
+				case results <- rtResult{worker: w + 1, item: item, tf: tf}:
 				case <-done:
 					return
 				}
@@ -99,18 +98,20 @@ func RunAsyncRealtime(cfg Config) (*Result, error) {
 	// T_A is the measured wall time of each critical section, seeding
 	// Suggests included (the DES rule); the journal gets one "algo"
 	// span per section.
-	mc := cfg.meterConfig(meters, nil, func(ta float64) {
-		events.Record(obs.Event{TS: since() - ta, Dur: ta, Kind: "algo", Actor: "master"})
+	alg := master.NewMetered(b, master.MeterConfig{
+		Charge: func(ta float64) {
+			events.Record(obs.Event{TS: since() - ta, Dur: ta, Kind: "algo", Actor: "master"})
+		},
+		Timings: tm,
+		Quality: cfg.Quality,
 	})
-	mc.TA = nil
-	alg := master.NewMetered(b, mc)
 	mcfg := master.Config{
 		Budget:     cfg.Evaluations,
 		Policy:     master.EagerOffspring,
 		DeferApply: cfg.DeferArchive,
-		Meters:     meters,
+		Meters:     tm.Meters,
 		Log:        cfg.Protocol,
-		OnAccept:   cfg.checkpointHook(meters, since, b),
+		OnAccept:   cfg.checkpointHook(tm.Meters, since, b),
 	}
 	alg.Install(&mcfg)
 	m := master.NewCore(mcfg)
@@ -133,6 +134,7 @@ func RunAsyncRealtime(cfg Config) (*Result, error) {
 	}
 	for !m.Done() {
 		r := <-results
+		tm.TF(r.item, r.worker, r.tf)
 		exec(m.Handle(master.Event{Kind: master.EvResult, Worker: r.worker, Item: r.item.ID, At: since()}))
 		// Deferred mode: the grant is already on its channel; fold the
 		// staged result in now (no-op when DeferArchive is off).
@@ -147,10 +149,8 @@ func RunAsyncRealtime(cfg Config) (*Result, error) {
 
 	res.Evaluations = m.Completed()
 	res.Completed = true
-	res.MeanTA = alg.Mean()
-	res.TASamples = alg.Samples()
-	res.MeanTF = cfg.TF.Mean()
-	res.MeanTC = 0 // channel transfers; not separately measurable here
+	// T_C stays 0: channel transfers are not separately measurable.
+	res.fillTimings(tm)
 	return res, nil
 }
 

@@ -54,35 +54,25 @@ func RunSync(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Processors: cfg.Processors, Final: b}
-	meters := master.NewMeters(cfg.Metrics)
+	// Advisor and Trace model the asynchronous protocol (see Config),
+	// so the sync baseline reports its timings to the histograms only.
+	tm := &master.Timings{Meters: master.NewMeters(cfg.Metrics), Capture: cfg.CaptureTimings}
+	meters := tm.Meters
 	masterRng := rng.New(cfg.Seed ^ 0x73796e63) // "sync"
-	var alg *master.Metered
-	tcSum, tcN := 0.0, uint64(0)
-	sampleTC := func() float64 {
-		tc := cfg.TC.Sample(masterRng)
-		tcSum += tc
-		tcN++
-		meters.TC.Observe(tc)
-		return tc
-	}
-
-	recs := newRecorders(&cfg)
-	startWorkers(eng, cl, &cfg, recs)
+	startWorkers(eng, cl, &cfg, tm)
 
 	node := cl.Node(0)
-	masterRec := &tfRecorder{capture: cfg.CaptureTimings, hist: meters.TF}
 	masterTFRng := rng.New(cfg.Seed ^ 0x6d746600)
 	completed := uint64(0)
 	var elapsedAtN float64
 	eng.Go("master", func(p *des.Process) {
 		// Each Suggest and each Accept is one T_A section, charged to
 		// the master node as an "algo" hold.
-		alg = master.NewMetered(b, master.MeterConfig{
+		alg := master.NewMetered(b, master.MeterConfig{
 			TA:      cfg.TA,
 			Rng:     masterRng,
 			Charge:  func(ta float64) { node.HoldBusy(p, ta, "algo") },
-			Capture: cfg.CaptureTimings,
-			Hist:    meters.TA,
+			Timings: tm,
 		})
 		checkpoint := cfg.checkpointHook(meters, p.Now, b)
 		reg := master.NewRegistry()
@@ -115,13 +105,13 @@ func RunSync(cfg Config) (*Result, error) {
 			}
 			// Scatter: one offspring per live worker.
 			for i, w := range alive {
-				node.HoldBusy(p, sampleTC(), "comm")
+				tm.TCSend(nil, holdTC(p, node, cfg.TC, masterRng))
 				node.Send(w, tagEvaluate, &master.Item{Gen: gen, S: batch[i+1]})
 			}
 			// The master evaluates one offspring itself.
 			core.EvaluateSolution(cfg.Problem, batch[0])
 			tf := cfg.TF.Sample(masterTFRng)
-			masterRec.record(tf, 0)
+			tm.TF(nil, 0, tf)
 			node.HoldBusy(p, tf, "eval")
 			// Gather: the synchronization barrier, bounded by
 			// BarrierTimeout when set.
@@ -166,7 +156,7 @@ func RunSync(cfg Config) (*Result, error) {
 				} else {
 					msg = node.Recv(p)
 				}
-				node.HoldBusy(p, sampleTC(), "comm")
+				tm.TCRecv(nil, holdTC(p, node, cfg.TC, masterRng))
 				gatherMsg(msg)
 			}
 			// Drain messages already delivered (recovery hellos, late
@@ -174,7 +164,7 @@ func RunSync(cfg Config) (*Result, error) {
 			// the next generation's barrier.
 			for node.InboxLen() > 0 {
 				msg := node.Recv(p)
-				node.HoldBusy(p, sampleTC(), "comm")
+				tm.TCRecv(nil, holdTC(p, node, cfg.TC, masterRng))
 				gatherMsg(msg)
 			}
 			// Workers that missed the barrier are presumed dead; their
@@ -227,11 +217,6 @@ func RunSync(cfg Config) (*Result, error) {
 		}
 		res.MeanWorkerUtilization = sum / float64(cfg.Processors-1)
 	}
-	res.MeanTA = alg.Mean()
-	res.TASamples = alg.Samples()
-	res.MeanTF, res.TFSamples = mergeTF(append([]*tfRecorder{masterRec}, recs...)...)
-	if tcN > 0 {
-		res.MeanTC = tcSum / float64(tcN)
-	}
+	res.fillTimings(tm)
 	return res, nil
 }

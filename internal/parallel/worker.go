@@ -3,7 +3,6 @@ package parallel
 import (
 	"fmt"
 
-	"borgmoea/internal/advisor"
 	"borgmoea/internal/cluster"
 	"borgmoea/internal/core"
 	"borgmoea/internal/des"
@@ -11,60 +10,16 @@ import (
 	"borgmoea/internal/master"
 	"borgmoea/internal/obs"
 	"borgmoea/internal/rng"
+	"borgmoea/internal/stats"
 )
 
-// tfRecorder accumulates one process's evaluation-time observations.
-// Each worker process owns its recorder exclusively and the drivers
-// merge them in rank order at teardown, so no shared counters are
-// mutated from inside worker closures — the drivers stay clean under
-// the race detector even if the DES engine's lock-step execution model
-// ever changed.
-type tfRecorder struct {
-	worker  int
-	sum     float64
-	n       uint64
-	capture bool
-	samples []float64
-	hist    *obs.Histogram   // optional shared telemetry sink (nil-safe, concurrent-safe)
-	adv     *advisor.Advisor // optional advisor feed (nil-safe; attributes by worker)
-}
-
-// record folds in one T_F; a nonzero exemplar (a sampled evaluation's
-// trace id) is pinned to the histogram bucket the value lands in, so
-// /debug/metrics links a latency bucket to a concrete trace.
-func (r *tfRecorder) record(tf float64, exemplar uint64) {
-	r.sum += tf
-	r.n++
-	if r.capture {
-		r.samples = append(r.samples, tf)
-	}
-	r.hist.ObserveExemplar(tf, exemplar)
-	r.adv.ObserveTF(r.worker, tf)
-}
-
-// newRecorders returns one recorder per worker rank 1..P−1.
-func newRecorders(cfg *Config) []*tfRecorder {
-	hist := cfg.Metrics.Histogram(mTF, nil)
-	recs := make([]*tfRecorder, cfg.Processors-1)
-	for i := range recs {
-		recs[i] = &tfRecorder{worker: i + 1, capture: cfg.CaptureTimings, hist: hist, adv: cfg.Advisor}
-	}
-	return recs
-}
-
-// mergeTF folds recorders in the caller's (rank) order, making the
-// samples deterministic, and returns the mean T_F and the samples.
-func mergeTF(recs ...*tfRecorder) (mean float64, samples []float64) {
-	sum, n := 0.0, uint64(0)
-	for _, r := range recs {
-		sum += r.sum
-		n += r.n
-		samples = append(samples, r.samples...)
-	}
-	if n > 0 {
-		mean = sum / float64(n)
-	}
-	return mean, samples
+// holdTC draws one T_C on r and charges it to the master node as a
+// "comm" hold. The caller reports it to the run's Timings once the hold
+// returns.
+func holdTC(p *des.Process, node *cluster.Node, tc stats.Distribution, r *rng.Source) float64 {
+	d := tc.Sample(r)
+	node.HoldBusy(p, d, "comm")
+	return d
 }
 
 // startWorkers launches the P−1 worker processes shared by the async
@@ -72,12 +27,12 @@ func mergeTF(recs ...*tfRecorder) (mean float64, samples []float64) {
 // hold T_F, echo the item to the master. Fault semantics: a crash
 // during the evaluation bumps the node's epoch, so the result is never
 // sent (the work died with the node); a transient hang defers the
-// response until the node is responsive again.
-func startWorkers(eng *des.Engine, cl *cluster.Cluster, cfg *Config, recs []*tfRecorder) {
+// response until the node is responsive again. Each T_F goes to tm
+// before its hold.
+func startWorkers(eng *des.Engine, cl *cluster.Cluster, cfg *Config, tm *master.Timings) {
 	for w := 1; w < cfg.Processors; w++ {
 		w := w
 		node := cl.Node(w)
-		rec := recs[w-1]
 		wRng := rng.New(cfg.Seed ^ (uint64(w) * 0x9e3779b97f4a7c15))
 		straggler := cfg.StragglerFraction > 0 &&
 			float64(w-1) < cfg.StragglerFraction*float64(cfg.Processors-1)
@@ -94,8 +49,7 @@ func startWorkers(eng *des.Engine, cl *cluster.Cluster, cfg *Config, recs []*tfR
 				if straggler {
 					tf *= cfg.StragglerFactor
 				}
-				rec.record(tf, item.Trace.Exemplar())
-				cfg.Trace.ObserveTF(item.ID, tf)
+				tm.TF(item, w, tf)
 				node.HoldBusy(p, tf, "eval")
 				if node.Failed() || node.Epoch() != epoch {
 					continue // crashed mid-evaluation: the work is lost
@@ -139,4 +93,20 @@ func runEngine(eng *des.Engine, cl *cluster.Cluster, inj *fault.Injector, cfg *C
 	res.WorkerRecoveries = st.Recoveries
 	res.HangsInjected = st.Hangs
 	res.MessagesLost = cl.MessagesLost()
+}
+
+// installTrace wires the DES engine's trace stream into the run's
+// sinks: the user's TraceHook and/or the obs event journal. With
+// neither attached the engine keeps its nil hook and emits nothing.
+func installTrace(eng *des.Engine, cfg *Config) {
+	hook, rec := cfg.TraceHook, cfg.Events
+	if hook == nil && rec == nil {
+		return
+	}
+	eng.SetTrace(func(ev des.TraceEvent) {
+		if hook != nil {
+			hook(ev.At, ev.Kind, ev.Actor, ev.Detail)
+		}
+		rec.Record(obs.Event{TS: ev.At, Kind: ev.Kind, Actor: ev.Actor, Detail: ev.Detail})
+	})
 }
